@@ -9,8 +9,12 @@ at most as many classes as states.
 
 ``AutomaticEq.from_dfa`` admits a DFA only after certifying, exactly, that
 its language is well-formatted and that the decided relation is reflexive,
-symmetric and transitive.  The checkers work on the automaton itself (no
-sampling), so validation is a proof for the whole infinite relation.
+symmetric and transitive.  All three axioms are read from one class table
+built on the automaton itself (no sampling): the relation is the union of
+K_r x L_r over the classes r, and one BFS per class over pairs of states
+records which classes' members each class accepts.  The work is polynomial
+in the state count, and validation is a proof for the whole infinite
+relation.
 """
 from __future__ import annotations
 
@@ -22,11 +26,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .dfa import (
     Dfa,
-    Nfa,
     binary,
     canonical_number_dfa,
-    equivalent,
-    is_empty,
     minimize,
     pair_format_dfa,
     pair_word,
@@ -50,151 +51,138 @@ def check_format(d: Dfa) -> bool:
     return subset_of(d, pair_format_dfa())
 
 
-def check_reflexive(d: Dfa, *, unsound_fast: bool = False, sample_limit: int = 512) -> bool:
-    """True iff the automaton accepts ``w B w`` for every canonical numeral w.
-
-    The exact check enumerates the monoid of transition functions reached by
-    canonical numerals: for each such function g, the word w with g_w = g
-    satisfies  w B w in L  iff  g(delta(g(start), B)) is accepting.  The
-    monoid is finite, so this terminates; it can be exponential in the state
-    count, which is fine at desk scale.
-
-    ``unsound_fast=True`` replaces the proof by sampling m < sample_limit.
-    """
-    if unsound_fast:
-        return all(d.accepts(pair_word(m, m)) for m in range(sample_limit))
-    n = d.state_count
-    by_zero = tuple(d.delta[s][0] for s in range(n))
-    by_one = tuple(d.delta[s][1] for s in range(n))
-
-    def closes(g: tuple[int, ...]) -> bool:
-        after_sep = d.delta[g[d.start]][2]
-        return g[after_sep] in d.accepting
-
-    if not closes(by_zero):  # the numeral "0", which cannot be extended
-        return False
-    seen = {by_one}
-    stack = [by_one]
-    while stack:
-        g = stack.pop()
-        if not closes(g):
-            return False
-        for ext in (by_zero, by_one):
-            h = tuple(ext[t] for t in g)
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return True
-
-
 def _format_clean(d: Dfa) -> Dfa:
     """Restrict to well-formatted words; the decided relation is unchanged."""
     return minimize(product(d, pair_format_dfa(), operator.and_))
 
 
-def _digit_reachable(d: Dfa, start: int) -> list[int]:
-    """States reachable from ``start`` reading only digit symbols 0/1."""
-    order = [start]
-    seen = {start}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for t in d.delta[s][:2]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    return order
+def _numerals(d: Dfa, starts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Read one canonical numeral from every state of ``starts`` at once and
+    map each tuple of states so reached to the least value reaching it.
+
+    A shortlex BFS: "0" cannot be extended, "1" can by any digits, and values
+    are dequeued in increasing order, so the first one kept is the least and
+    the keys come out in increasing order of their values.
+    """
+
+    def step(t: tuple[int, ...], bit: int) -> tuple[int, ...]:
+        return tuple(d.delta[s][bit] for s in t)
+
+    least = {step(starts, 0): 0}
+    one = step(starts, 1)
+    queue = deque([(one, 1)])
+    enqueued = {one}
+    while queue:
+        t, v = queue.popleft()
+        least.setdefault(t, v)
+        for bit in (0, 1):
+            u = step(t, bit)
+            if u not in enqueued:
+                enqueued.add(u)
+                queue.append((u, 2 * v + bit))
+    return least
 
 
-def _numeral_reachable(d: Dfa) -> list[int]:
-    """States reachable by reading a complete canonical numeral."""
-    zero = d.delta[d.start][0]
-    out = _digit_reachable(d, d.delta[d.start][1])
-    if zero not in out:
-        out = [zero] + out
-    return out
+class _ClassTable:
+    """Which classes relate to which, over a format-clean DFA.
+
+    A numeral u reaching state s has class r = delta(s, B); let K_r be the
+    numerals of class r and L_r the numerals accepted from r.  The relation
+    is exactly the union of K_r x L_r.  One BFS per class r reads the same
+    canonical numeral v from (start, r) and records ``answers[r2, r]``: the
+    set of truth values of "v in L_r" over all v in K_r2.
+    """
+
+    def __init__(self, d: Dfa):
+        self.dfa = d
+        self.classes = {d.delta[s][2] for (s,) in _numerals(d, (d.start,))}
+        self.answers: dict[tuple[int, int], set[bool]] = {}
+        for r in self.classes:
+            for p, q in _numerals(d, (d.start, r)):
+                self.answers.setdefault((d.delta[p][2], r), set()).add(q in d.accepting)
+
+    def reflexive(self) -> bool:
+        """Every u in K_r lies in L_r."""
+        return all(self.answers[r, r] == {True} for r in self.classes)
+
+    def symmetric(self) -> bool:
+        """For u in K_r and v in K_r2, "v in L_r" (u ~ v) must equal
+        "u in L_r2" (v ~ u): both answers are one value, the same value."""
+        return all(
+            len(seen) == 1 and seen == self.answers[r, r2]
+            for (r2, r), seen in self.answers.items()
+        )
+
+    def transitive(self) -> bool:
+        """If u ~ v for some u in K_r and v in K_r2, every w with v ~ w
+        must satisfy u ~ w: L_r2 is contained in L_r.  An equivalence has
+        no such pair with r2 != r, so it needs no containment check."""
+        d = self.dfa
+        return all(
+            subset_of(Dfa(d.delta, r2, d.accepting), Dfa(d.delta, r, d.accepting))
+            for (r2, r), seen in self.answers.items()
+            if r2 != r and True in seen
+        )
+
+
+def check_reflexive(d: Dfa) -> bool:
+    """True iff the automaton accepts ``w B w`` for every canonical numeral w.
+
+    Exact: read from the class table, where it says every class relates to
+    all of its own members.
+    """
+    return _ClassTable(_format_clean(d)).reflexive()
 
 
 def check_symmetric(d: Dfa) -> bool:
     """True iff the decided relation is symmetric.
 
-    Builds an NFA for the swapped pair language: guess the state s reached by
-    the (unknown) first numeral, read the second component from delta(s, B),
-    then the separator, then a first component that must land exactly on s.
-    The swap equals the original language iff the relation is symmetric.
+    Exact: read from the class table, where every pair of classes must give
+    one answer each way, the same both ways.
     """
-    dp = _format_clean(d)
-    pre = _digit_reachable(dp, dp.start)
-    nfa = Nfa()
-    for s in pre:
-        tail_start = dp.delta[s][2]
-        nfa.starts.add(("r", tail_start, s))
-        for q in range(dp.state_count):
-            for i, ch in enumerate("01"):
-                nfa.add(("r", q, s), ch, ("r", dp.delta[q][i], s))
-                nfa.add(("l", q, s), ch, ("l", dp.delta[q][i], s))
-            if q in dp.accepting:
-                nfa.add(("r", q, s), "B", ("l", dp.start, s))
-        nfa.accepting.add(("l", s, s))
-    return equivalent(nfa.determinize(), dp)
+    return _ClassTable(_format_clean(d)).symmetric()
 
 
 def check_transitive(d: Dfa) -> bool:
     """True iff the decided relation is transitive.
 
-    For a state s reached by a numeral, the class language of its values is
-    the acceptance language from delta(s, B).  Transitivity says: whenever
-    some numeral both reaches s' and lies in the class language of s, the
-    class language of s' is contained in that of s.
+    Exact: read from the class table; a class r2 with a member accepted
+    from class r must accept no more than r does (one containment check
+    per such pair).
     """
-    dp = _format_clean(d)
-    canon = canonical_number_dfa()
-    states = _numeral_reachable(dp)
-    tail = {s: Dfa(dp.delta, dp.delta[s][2], dp.accepting) for s in states}
-    reach = {
-        s: product(Dfa(dp.delta, dp.start, {s}), canon, operator.and_)
-        for s in states
-    }
-    for s in states:
-        for s2 in states:
-            if is_empty(product(reach[s2], tail[s], operator.and_)):
-                continue
-            if not subset_of(tail[s2], tail[s]):
-                return False
-    return True
+    return _ClassTable(_format_clean(d)).transitive()
 
 
 class AutomaticEq:
     """A certified automatic equivalence relation.
 
     Wraps a minimized, format-clean DFA together with a table mapping each
-    numeral-reachable state to the least value reaching it and to its class.
+    numeral-reachable state to its class and each class to its least value.
     """
 
-    __slots__ = ("dfa", "_least_value", "_state_class", "_reps", "_class_dfas")
+    __slots__ = ("dfa", "_state_class", "_reps", "_class_dfas")
 
     def __init__(self, dfa: Dfa, _trusted: bool = False):
         if not _trusted:
             raise TypeError("use AutomaticEq.from_dfa()")
         self.dfa = dfa
-        self._least_value = None
         self._state_class = None
         self._reps = None
         self._class_dfas = {}
 
     @classmethod
-    def from_dfa(cls, d: Dfa, *, unsound_fast_reflexivity: bool = False) -> "AutomaticEq":
+    def from_dfa(cls, d: Dfa) -> "AutomaticEq":
         """Validate and wrap a DFA; raises ValidationError naming the failed
         axiom otherwise."""
         if not check_format(d):
             raise ValidationError("format", "accepts words outside 'numeral B numeral'")
         clean = _format_clean(d)
-        if not check_reflexive(clean, unsound_fast=unsound_fast_reflexivity):
+        table = _ClassTable(clean)
+        if not table.reflexive():
             raise ValidationError("reflexivity", "some w B w is rejected")
-        if not check_symmetric(clean):
+        if not table.symmetric():
             raise ValidationError("symmetry", "language differs from its swap")
-        if not check_transitive(clean):
+        if not table.transitive():
             raise ValidationError("transitivity", "class languages are not nested")
         return cls(clean, _trusted=True)
 
@@ -207,46 +195,26 @@ class AutomaticEq:
         """Run the automaton on the pair word of (m, n)."""
         return self.dfa.accepts(pair_word(m, n))
 
-    def _table(self) -> dict[int, int]:
-        """Least value reaching each numeral-reachable state (shortlex BFS)."""
-        if self._least_value is not None:
-            return self._least_value
-        d = self.dfa
-        least: dict[int, int] = {}
-        zero_state = d.delta[d.start][0]
-        least[zero_state] = 0
-        one_state = d.delta[d.start][1]
-        queue = deque([(one_state, 1)])
-        enqueued = {one_state}
-        while queue:
-            s, v = queue.popleft()
-            least.setdefault(s, v)
-            for bit in (0, 1):
-                t = d.delta[s][bit]
-                if t not in enqueued:
-                    enqueued.add(t)
-                    queue.append((t, 2 * v + bit))
-        self._least_value = least
-        return least
-
     def _classes(self) -> tuple[dict[int, int], tuple[int, ...]]:
-        """Group numeral-reachable states into classes of the relation."""
+        """Group numeral-reachable states into classes of the relation.
+
+        States s and t hold related values iff delta(s, B) == delta(t, B):
+        the DFA is minimized, so equal class languages mean equal states.
+        Classes are numbered by their least value.
+        """
         if self._state_class is None:
-            least = self._table()
-            groups: list[tuple[int, list[int]]] = []
+            d = self.dfa
+            index: dict[int, int] = {}
+            reps: list[int] = []
             state_class: dict[int, int] = {}
-            for s in sorted(least, key=least.get):
-                v = least[s]
-                for idx, (rep, members) in enumerate(groups):
-                    if self.decide(rep, v):
-                        members.append(s)
-                        state_class[s] = idx
-                        break
-                else:
-                    state_class[s] = len(groups)
-                    groups.append((v, [s]))
+            for (s,), least in _numerals(d, (d.start,)).items():
+                r = d.delta[s][2]
+                if r not in index:
+                    index[r] = len(reps)
+                    reps.append(least)
+                state_class[s] = index[r]
             self._state_class = state_class
-            self._reps = tuple(rep for rep, _ in groups)
+            self._reps = tuple(reps)
         return self._state_class, self._reps
 
     def representatives(self) -> list[int]:

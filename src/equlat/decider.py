@@ -65,21 +65,35 @@ class DeciderEq:
         return f"DeciderEq({self.cost_note!r})"
 
 
-def _axiom_violation(fn, bound: int) -> str | None:
+def axiom_counterexamples(
+    fn: Callable[[int, int], bool], bound: int
+) -> tuple[int | None, tuple[int, int] | None, tuple[int, int, int] | None]:
+    """Brute force over {0..bound-1} from one relation matrix: the first
+    counterexample to reflexivity (m), symmetry (m, n) and transitivity
+    (m, n, p), each None where that axiom holds on the window."""
     rel = [[bool(fn(m, n)) for n in range(bound)] for m in range(bound)]
-    for m in range(bound):
-        if not rel[m][m]:
-            return f"not reflexive at {m}"
-    for m in range(bound):
-        for n in range(m):
-            if rel[m][n] != rel[n][m]:
-                return f"not symmetric at ({m}, {n})"
+    refl = next((m for m in range(bound) if not rel[m][m]), None)
+    sym = next(
+        ((m, n) for m in range(bound) for n in range(m) if rel[m][n] != rel[n][m]), None
+    )
     rows = [frozenset(n for n in range(bound) if rel[m][n]) for m in range(bound)]
-    for m in range(bound):
-        for n in rows[m]:
-            if not rows[n] <= rows[m]:
-                p = min(rows[n] - rows[m])
-                return f"not transitive at ({m}, {n}, {p})"
+    trans = next(
+        (
+            (m, n, min(rows[n] - rows[m]))
+            for m in range(bound)
+            for n in range(bound)
+            if rel[m][n] and not rows[n] <= rows[m]
+        ),
+        None,
+    )
+    return refl, sym, trans
+
+
+def _axiom_violation(fn, bound: int) -> str | None:
+    found = axiom_counterexamples(fn, bound)
+    for axiom, where in zip(("reflexive", "symmetric", "transitive"), found):
+        if where is not None:
+            return f"not {axiom} at {where}"
     return None
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 from . import automatic as am
 from . import constructions as cs
 from . import tm as tmlab
-from .decider import verify_chain
+from .decider import axiom_counterexamples, verify_chain
 from .dfa import pair_word
 from .partition import (
     Partition,
@@ -242,14 +242,9 @@ def complement_checks(rng_seed: int = 20260809) -> list[CheckResult]:
 
 
 def _brute_axioms(dfa, bound: int = 64) -> tuple[bool, bool, bool]:
-    rel = [[dfa.accepts(pair_word(m, n)) for n in range(bound)] for m in range(bound)]
-    refl = all(rel[m][m] for m in range(bound))
-    sym = all(rel[m][n] == rel[n][m] for m in range(bound) for n in range(m))
-    rows = [frozenset(n for n in range(bound) if rel[m][n]) for m in range(bound)]
-    trans = all(
-        rows[n] <= rows[m] for m in range(bound) for n in range(bound) if rel[m][n]
-    )
-    return refl, sym, trans
+    """Whether reflexivity, symmetry and transitivity hold on {0..bound-1}."""
+    found = axiom_counterexamples(lambda m, n: dfa.accepts(pair_word(m, n)), bound)
+    return tuple(c is None for c in found)
 
 
 def automatic_checks() -> list[CheckResult]:

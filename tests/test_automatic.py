@@ -1,4 +1,5 @@
 import operator
+import random
 
 import pytest
 
@@ -21,17 +22,7 @@ from equlat.automatic import (
 )
 from equlat.dfa import Dfa, equivalent, minimize, pair_word, product
 from equlat.partition import Partition
-
-
-def brute_axioms(dfa, bound=64):
-    rel = [[dfa.accepts(pair_word(m, n)) for n in range(bound)] for m in range(bound)]
-    refl = all(rel[m][m] for m in range(bound))
-    sym = all(rel[m][n] == rel[n][m] for m in range(bound) for n in range(m))
-    rows = [frozenset(n for n in range(bound) if rel[m][n]) for m in range(bound)]
-    trans = all(
-        rows[n] <= rows[m] for m in range(bound) for n in range(bound) if rel[m][n]
-    )
-    return refl, sym, trans
+from equlat.verify import _brute_axioms
 
 
 def _single_word_dfa(word):
@@ -93,10 +84,6 @@ class TestCheckReflexive:
             sampled = all(dfa.accepts(pair_word(m, m)) for m in range(512))
             assert exact == sampled
 
-    def test_unsound_fast_flag(self):
-        d = corpus()["mod4"].dfa
-        assert check_reflexive(d, unsound_fast=True, sample_limit=64)
-
 
 class TestCheckSymmetric:
     def test_same_length_is_symmetric(self):
@@ -140,11 +127,104 @@ class TestCheckTransitive:
 
     def test_agrees_with_brute_force(self):
         for dfa in (corpus()["mod3"].dfa, shared_feature_dfa()):
-            assert (
-                check_reflexive(dfa),
-                check_symmetric(dfa),
-                check_transitive(dfa),
-            ) == brute_axioms(dfa)
+            assert _certified(dfa) == _brute_axioms(dfa)
+        # u ~ v iff M[f(u)][f(v)] for a classifier f whose every feature is
+        # realized below 64: the matrix's own axioms are the exact verdicts.
+        rng = random.Random(20261017)
+        verdicts = set()
+        for kind in ("equivalence", "random", "symmetric-reflexive", "preorder") * 12:
+            delta, start, key = _small_classifier(rng)
+            realized = sorted({key[_classify(delta, start, v)] for v in range(64)})
+            matrix = _feature_matrix(kind, realized, rng)
+            dfa = kernel_pair_dfa(delta, start, key, accept=lambda a, b: matrix[a, b])
+            expected = _matrix_axioms(matrix, realized)
+            assert _certified(dfa) == expected, (kind, delta, key, matrix)
+            assert _brute_axioms(dfa) == expected
+            verdicts.add(expected)
+        # every axiom both holds and fails somewhere in the sample
+        assert all({v[i] for v in verdicts} == {True, False} for i in range(3))
+
+    def test_perturbed_equivalences_sound(self):
+        # one accepting state flipped or one digit edge retargeted: whatever
+        # axiom the certifier accepts must hold on {0..63}
+        rng = random.Random(20261018)
+        rejected = 0
+        for _ in range(60):
+            delta, start, key = _small_classifier(rng)
+            d = kernel_pair_dfa(delta, start, key)
+            rows = [list(row) for row in d.delta]
+            accepting = set(d.accepting)
+            if rng.random() < 0.5:
+                accepting ^= {rng.randrange(len(rows))}
+            else:
+                rows[rng.randrange(len(rows))][rng.randrange(2)] = rng.randrange(len(rows))
+            perturbed = Dfa(rows, d.start, accepting)
+            got = _certified(perturbed)
+            brute = _brute_axioms(perturbed)
+            assert all(b for g, b in zip(got, brute) if g), (rows, accepting)
+            rejected += not all(got)
+        assert rejected > 0
+
+
+def _certified(dfa):
+    return check_reflexive(dfa), check_symmetric(dfa), check_transitive(dfa)
+
+
+def _small_classifier(rng):
+    """Value mod k, capped numeral length, or both; features merged at random."""
+    k = rng.randrange(1, 6)
+    cap = rng.randrange(1, 7)
+    mode = rng.choice(("mod", "len", "both"))
+    if mode == "mod":
+        cap = 0
+    elif mode == "len":
+        k = 1
+    # state (residue, length); length 0 is the start and never a feature
+    states = [(r, n) for r in range(k) for n in range(cap + 1)]
+    idx = {st: i for i, st in enumerate(states)}
+    delta = tuple(
+        tuple(idx[((2 * r + bit) % k, min(n + 1, cap))] for bit in (0, 1))
+        for r, n in states
+    )
+    merge = rng.randrange(2, len(states) + 2)
+    key = {i: rng.randrange(merge) for i in range(len(states))}
+    return delta, idx[(0, 0)], key
+
+
+def _classify(delta, start, value):
+    s = start
+    for ch in format(value, "b"):
+        s = delta[s][int(ch)]
+    return s
+
+
+def _feature_matrix(kind, feats, rng):
+    if kind == "equivalence":
+        label = {a: rng.randrange(len(feats)) for a in feats}
+        return {(a, b): label[a] == label[b] for a in feats for b in feats}
+    if kind == "random":
+        return {(a, b): rng.random() < 0.5 for a in feats for b in feats}
+    if kind == "preorder":
+        rank = {a: rng.randrange(len(feats)) for a in feats}
+        return {(a, b): rank[a] <= rank[b] for a in feats for b in feats}
+    matrix = {}
+    for i, a in enumerate(feats):
+        for b in feats[i:]:
+            matrix[a, b] = matrix[b, a] = a == b or rng.random() < 0.5
+    return matrix
+
+
+def _matrix_axioms(matrix, feats):
+    refl = all(matrix[a, a] for a in feats)
+    sym = all(matrix[a, b] == matrix[b, a] for a in feats for b in feats)
+    trans = all(
+        matrix[a, c]
+        for a in feats
+        for b in feats
+        for c in feats
+        if matrix[a, b] and matrix[b, c]
+    )
+    return refl, sym, trans
 
 
 class TestValidation:

@@ -1,7 +1,8 @@
 import pytest
 
+from equlat.automatic import shared_feature_dfa
 from equlat.cli import main, parse_decider_expr
-from equlat.dfa import dfa_from_text, equivalent
+from equlat.dfa import dfa_from_text, dfa_to_text, equivalent
 from equlat.partition import Partition, SmallEq
 
 
@@ -87,6 +88,18 @@ class TestAutomaticCommands:
         assert code == 0
         for axiom in ("format", "reflexivity", "symmetry", "transitivity"):
             assert f"[PASS] {axiom}" in out
+
+    def test_check_fails_only_transitivity(self, capsys, tmp_path):
+        target = tmp_path / "shared.dfa"
+        target.write_text(dfa_to_text(shared_feature_dfa()))
+        code, out, _ = run(capsys, "automatic", "check", str(target))
+        assert code == 1
+        assert out.splitlines() == [
+            "[PASS] format",
+            "[PASS] reflexivity",
+            "[PASS] symmetry",
+            "[FAIL] transitivity",
+        ]
 
     def test_reps_of_singleton_family(self, capsys, tmp_path):
         target = tmp_path / "s3.dfa"
