@@ -316,13 +316,9 @@ class AutomaticEq:
 
     def restrict(self, n: int) -> Partition:
         """Materialize the relation on {0..n-1} for cross-checking."""
-        labels = []
-        for x in range(n):
-            for y in range(x + 1):
-                if self.decide(y, x):
-                    labels.append(labels[y] if y < x else x)
-                    break
-        return Partition(labels)
+        state_class, _ = self._classes()
+        d = self.dfa
+        return Partition.from_key(n, lambda x: state_class[d.run(binary(x))])
 
     def __repr__(self) -> str:
         return f"AutomaticEq({self.dfa!r})"

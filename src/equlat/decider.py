@@ -3,7 +3,10 @@ naturals.
 
 Totality and the equivalence axioms are undecidable for black-box
 procedures, so registration runs a sampled axiom check over a finite window
-(default {0..31}) and refuses procedures that fail it.  The join of two
+(default {0..31}) and refuses procedures that fail it.  A *keyed* relation is
+the kernel of a computable key (m ~ n iff key(m) == key(n)); it is an
+equivalence by construction, needs no sampled check, and lets the join search
+and restriction group values by key instead of testing pairs.  The join of two
 decidable equivalences need not be decidable at all, which is why only a
 bounded, witness-producing join search is offered: its negative answer means
 "not found within the bounds", never "unrelated".
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .partition import Partition
 
@@ -24,9 +27,13 @@ class NotAnEquivalence(ValueError):
 
 
 class DeciderEq:
-    """A decision procedure (m, n) -> bool plus a free-text cost note."""
+    """A decision procedure (m, n) -> bool plus a free-text cost note.
 
-    __slots__ = ("_fn", "cost_note", "universe_hint")
+    ``key`` is None for a black-box procedure; for a relation built with
+    ``from_key`` it is the class key whose kernel the procedure decides.
+    """
+
+    __slots__ = ("_fn", "key", "cost_note", "universe_hint")
 
     def __init__(
         self,
@@ -36,6 +43,7 @@ class DeciderEq:
         check_bound: int = REGISTRATION_BOUND,
     ):
         self._fn = fn
+        self.key = None
         self.cost_note = cost_note
         self.universe_hint = universe_hint
         if check_bound:
@@ -43,14 +51,29 @@ class DeciderEq:
             if violation is not None:
                 raise NotAnEquivalence(violation)
 
+    @classmethod
+    def from_key(
+        cls,
+        key: Callable[[int], Hashable],
+        cost_note: str = "",
+        universe_hint: int | None = None,
+    ) -> "DeciderEq":
+        """The kernel of ``key``: m ~ n iff key(m) == key(n).  An equivalence
+        by construction, so the sampled registration check is skipped."""
+        d = cls(lambda m, n: m == n or key(m) == key(n), cost_note, universe_hint, check_bound=0)
+        d.key = key
+        return d
+
     def decide(self, m: int, n: int) -> bool:
         if m < 0 or n < 0:
             raise ValueError("naturals only")
         return bool(self._fn(m, n))
 
     def restrict(self, n: int) -> Partition:
-        """Materialize on {0..n-1}; raises if the procedure is not an
-        equivalence there."""
+        """Materialize on {0..n-1}; raises if a black-box procedure is not
+        an equivalence there."""
+        if self.key is not None:
+            return Partition.from_key(n, self.key)
         labels = []
         for x in range(n):
             for y in range(x + 1):
@@ -103,40 +126,46 @@ def is_equivalence_sampled(d: DeciderEq, bound: int) -> bool:
 
 
 def bottom_decider() -> DeciderEq:
-    return DeciderEq(lambda m, n: m == n, cost_note="constant-time equality")
+    return DeciderEq.from_key(lambda x: x, cost_note="constant-time equality")
 
 
 def top_decider() -> DeciderEq:
-    return DeciderEq(lambda m, n: True, cost_note="constant-time")
+    return DeciderEq.from_key(lambda x: 0, cost_note="constant-time")
 
 
 def parity_decider() -> DeciderEq:
-    return DeciderEq(lambda m, n: m % 2 == n % 2, cost_note="constant-time parity")
+    return DeciderEq.from_key(lambda x: x % 2, cost_note="constant-time parity")
 
 
 def singular_from_predicate(p: Callable[[int], bool], cost_note: str = "") -> DeciderEq:
     """m ~ n iff m == n or both satisfy the predicate."""
-    return DeciderEq(
-        lambda m, n: m == n or (p(m) and p(n)),
-        cost_note=cost_note or "predicate singular",
+    # -1 is no natural, so it cannot collide with the singleton keys.
+    return DeciderEq.from_key(
+        lambda x: -1 if p(x) else x, cost_note=cost_note or "predicate singular"
     )
 
 
 def from_partition(part: Partition) -> DeciderEq:
     """Extend a finite partition to all naturals, with singletons above it."""
     n = part.universe_size
-    return DeciderEq(
-        lambda x, y: x == y or (x < n and y < n and part.related(x, y)),
+    labels = part.labels
+    # Labels lie below n and singleton keys at or above it.
+    return DeciderEq.from_key(
+        lambda x: labels[x] if x < n else x,
         cost_note=f"table lookup below {n}",
         universe_hint=n,
     )
 
 
 def meet_combinator(d1: DeciderEq, d2: DeciderEq) -> DeciderEq:
-    """Decides the conjunction; always again an equivalence."""
+    """Decides the conjunction; always again an equivalence, keyed by the
+    pair of keys when both sides are keyed."""
+    cost_note = f"({d1.cost_note}) && ({d2.cost_note})"
+    if d1.key is not None and d2.key is not None:
+        k1, k2 = d1.key, d2.key
+        return DeciderEq.from_key(lambda x: (k1(x), k2(x)), cost_note=cost_note)
     return DeciderEq(
-        lambda m, n: d1._fn(m, n) and d2._fn(m, n),
-        cost_note=f"({d1.cost_note}) && ({d2.cost_note})",
+        lambda m, n: d1._fn(m, n) and d2._fn(m, n), cost_note=cost_note
     )
 
 
@@ -192,41 +221,67 @@ def bounded_join(
     """Breadth-first search for an alternating chain m ~ a1 ~ ... ~ n.
 
     ``universe`` is either a bound U (candidates are 0..U-1) or an explicit
-    finite candidate collection; every chain element is drawn from it.  The
+    finite collection of naturals; every chain element is drawn from it.  The
     chain uses at most ``chain_bound`` links, each holding under d1 or d2.
+
+    Each point is expanded once, its new neighbours visited in ascending
+    order.  A keyed relation yields a point's whole key class at once, so two
+    keyed relations cost O(U log U) per search; a black-box relation tests
+    the point against every unvisited candidate, O(U^2) in all.
     """
     if isinstance(universe, int):
         candidates = list(range(universe))
     else:
         candidates = sorted(set(universe))
+    if candidates and candidates[0] < 0:
+        raise ValueError("naturals only")
     if m not in candidates or n not in candidates:
         raise ValueError("endpoints must lie in the search universe")
     if m == n:
         return RelatedWitness((m,), ())
     parent: dict[int, int] = {m: m}
+    near = (_neighbours(d1, candidates, parent), _neighbours(d2, candidates, parent))
     frontier = deque([m])
     depth = 0
     while frontier and depth < chain_bound:
         depth += 1
         for _ in range(len(frontier)):
             x = frontier.popleft()
-            for y in candidates:
-                if y in parent:
-                    continue
-                if d1._fn(x, y) or d2._fn(x, y):
+            found = []
+            for neighbours in near:
+                for y in neighbours(x):
                     parent[y] = x
-                    if y == n:
-                        chain = [y]
-                        while chain[-1] != m:
-                            chain.append(parent[chain[-1]])
-                        chain.reverse()
-                        links = tuple(
-                            "left" if d1._fn(a, b) else "right"
-                            for a, b in zip(chain, chain[1:])
-                        )
-                        return RelatedWitness(tuple(chain), links)
-                    frontier.append(y)
+                    found.append(y)
+            if n in parent:
+                chain = [n]
+                while chain[-1] != m:
+                    chain.append(parent[chain[-1]])
+                chain.reverse()
+                links = tuple(
+                    "left" if d1._fn(a, b) else "right" for a, b in zip(chain, chain[1:])
+                )
+                return RelatedWitness(tuple(chain), links)
+            frontier.extend(sorted(found))
     return NotWithinBounds(explored=len(parent))
+
+
+def _neighbours(
+    d: DeciderEq, candidates: list[int], visited: dict[int, int]
+) -> Callable[[int], list[int]]:
+    """x -> the unvisited candidates related to x under d, ascending.
+
+    A keyed relation hands over x's key bucket and drops it: every member is
+    visited from then on, so a later point of that class has nothing left to
+    find there.  A black-box relation is tested on each unvisited candidate.
+    """
+    if d.key is None:
+        fn = d._fn
+        return lambda x: [y for y in candidates if y not in visited and fn(x, y)]
+    key = d.key
+    buckets: dict[Hashable, list[int]] = {}
+    for y in candidates:
+        buckets.setdefault(key(y), []).append(y)
+    return lambda x: [y for y in buckets.pop(key(x), ()) if y not in visited]
 
 
 def verify_chain(
@@ -243,7 +298,7 @@ def verify_chain(
     allowed = (
         range(universe) if isinstance(universe, int) else set(universe)
     )
-    if any(x not in allowed for x in chain):
+    if any(x < 0 or x not in allowed for x in chain):
         return False
     for (a, b), tag in zip(zip(chain, chain[1:]), witness.links):
         d = d1 if tag == "left" else d2

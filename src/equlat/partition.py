@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
 class InvalidUniverse(ValueError):
@@ -98,6 +98,14 @@ class Partition:
             missing = min(set(range(n)) - set(seen))
             raise InvalidPartition(f"element {missing} is not covered")
         return cls._mk(tuple(seen[x] for x in range(n)))
+
+    @classmethod
+    def from_key(cls, n: int, key: Callable[[int], Hashable]) -> "Partition":
+        """The kernel of ``key`` on {0..n-1}: x ~ y iff key(x) == key(y)."""
+        if n < 1:
+            raise InvalidUniverse(f"invalid universe size {n}")
+        first: dict[Hashable, int] = {}
+        return cls._mk(tuple(first.setdefault(key(x), x) for x in range(n)))
 
     @property
     def universe_size(self) -> int:
@@ -384,14 +392,7 @@ class SmallEq:
 
     def restrict(self, n: int) -> Partition:
         """Materialize the relation on {0..n-1} as an explicit Partition."""
-        if n < 1:
-            raise InvalidUniverse(f"invalid universe size {n}")
-        first: dict[int, int] = {}
-        out = []
-        for x in range(n):
-            lab = first.setdefault(self.class_of(x), x)
-            out.append(lab)
-        return Partition._mk(tuple(out))
+        return Partition.from_key(n, self.class_of)
 
     def to_text(self) -> str:
         lines = [f"threshold: {self.threshold}", f"tail: {self.tail_label}"]

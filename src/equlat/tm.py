@@ -29,7 +29,7 @@ which turns "machines" into naturals for the non-halting relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Callable, Mapping, Sequence
 
@@ -95,12 +95,17 @@ class TmSpec:
                 if (q, a) not in self.rules:
                     raise MachineError(f"transition table not total: missing ({q}, {a})")
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[str, ...]:
         symbols = [self.blank, ENDMARKER]
         for (_, a), (_, b, _) in sorted(self.rules.items()):
             symbols.extend((a, b))
         return tuple(dict.fromkeys(symbols))
+
+    @cached_property
+    def _serial(self) -> "_Numerals":
+        """The numeral system of configuration codes (see serial_alphabet)."""
+        return _Numerals(dict.fromkeys("0123456789:" + "".join(self.alphabet)))
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,8 @@ def init_config(m: TmSpec, input_str: str) -> Configuration:
 
 
 def _last_nonblank(tape: str, blank: str) -> int:
-    i = len(tape) - 1
-    while i > 0 and tape[i] == blank:
-        i -= 1
-    return i
+    """The last cell after cell 0 that holds no blank, or 0 if there is none."""
+    return max(len(tape.rstrip(blank)) - 1, 0)
 
 
 def _canonical_config(m: TmSpec, state: str, head: int, tape: str) -> Configuration:
@@ -168,25 +171,86 @@ def halt_step(m: TmSpec, input_str: str, max_steps: int) -> int | None:
 # -- configuration coding ----------------------------------------------------
 
 def serial_alphabet(m: TmSpec) -> tuple[str, ...]:
-    return tuple(dict.fromkeys("0123456789:" + "".join(m.alphabet)))
+    return m._serial.alphabet
 
 
-def _string_to_nat(s: str, alphabet: Sequence[str]) -> int:
-    index = {ch: i for i, ch in enumerate(alphabet)}
-    k = len(alphabet)
-    n = 0
-    for ch in s:
-        n = n * k + index[ch] + 1
-    return n
+class _Numerals:
+    """Bijective base-k numerals over k >= 2 symbols: the empty string is 0
+    and the i-th symbol is the digit i + 1.
 
+    Both directions divide and conquer over the powers k^(2^j), cached per
+    numeral system, so a conversion costs O(log length) rounds of big-number
+    arithmetic instead of one big-number step per digit.
+    """
 
-def _nat_to_string(n: int, alphabet: Sequence[str]) -> str:
-    k = len(alphabet)
-    out = []
-    while n > 0:
-        n, r = divmod(n - 1, k)
-        out.append(alphabet[r])
-    return "".join(reversed(out))
+    _LEAF = 32  # digits split off one at a time below this width
+
+    def __init__(self, alphabet: Sequence[str]):
+        self.alphabet = tuple(alphabet)
+        self.k = len(self.alphabet)
+        if self.k < 2:
+            raise ValueError("a numeral system needs at least two symbols")
+        self._value = {ch: i + 1 for i, ch in enumerate(self.alphabet)}
+        self._powers = (self.k,)
+
+    def _power(self, j: int) -> int:
+        """k^(2^j).  The cache is replaced, never mutated, so concurrent
+        callers see a consistent tuple."""
+        powers = self._powers
+        while len(powers) <= j:
+            powers = powers + (powers[-1] * powers[-1],)
+        self._powers = powers
+        return powers[j]
+
+    def to_nat(self, s: str) -> int:
+        # Pairwise: after round j every entry is a block of 2^j digits, the
+        # first possibly shorter; a zero pads the front where a pair is short.
+        blocks = [self._value[ch] for ch in s]
+        j = 0
+        while len(blocks) > 1:
+            if len(blocks) % 2:
+                blocks.insert(0, 0)
+            p = self._power(j)
+            blocks = [a * p + b for a, b in zip(blocks[::2], blocks[1::2])]
+            j += 1
+        return blocks[0] if blocks else 0
+
+    def to_string(self, n: int) -> str:
+        if n <= 0:
+            return ""
+        k = self.k
+        # The strings shorter than L number (k^L - 1) / (k - 1), so n has the
+        # largest L with k^L <= n (k - 1) + 1, and subtracting that count
+        # leaves an ordinary base-k numeral of exactly L digits.
+        limit = n * (k - 1) + 1
+        j = 0
+        while self._power(j) <= limit:
+            j += 1
+        length, k_length = 0, 1
+        for i in reversed(range(j)):
+            bigger = k_length * self._powers[i]
+            if bigger <= limit:
+                length += 1 << i
+                k_length = bigger
+        symbols: list[str] = []
+        self._fixed_width(n - (k_length - 1) // (k - 1), length, symbols)
+        return "".join(symbols)
+
+    def _fixed_width(self, r: int, width: int, out: list[str]) -> None:
+        """Append the symbols of the ``width`` base-k digits of r < k^width
+        (digit d is the symbol of value d + 1), high first."""
+        if width <= self._LEAF:
+            k, alphabet = self.k, self.alphabet
+            low_first = []
+            for _ in range(width):
+                r, d = divmod(r, k)
+                low_first.append(alphabet[d])
+            out.extend(reversed(low_first))
+            return
+        j = (width - 1).bit_length() - 1  # 2^j < width <= 2^(j+1)
+        high, low = divmod(r, self._powers[j])
+        self._fixed_width(high, width - (1 << j), out)
+        self._fixed_width(low, 1 << j, out)
 
 
 def serialize_config(m: TmSpec, c: Configuration) -> str:
@@ -194,18 +258,14 @@ def serialize_config(m: TmSpec, c: Configuration) -> str:
 
 
 def encode_config(m: TmSpec, c: Configuration) -> int:
-    return _string_to_nat(serialize_config(m, c), serial_alphabet(m))
+    return m._serial.to_nat(serialize_config(m, c))
 
 
 def decode_config(m: TmSpec, code: int) -> Configuration | None:
     """Inverse of encode_config on valid codes; None for anything malformed."""
     if code <= 0:
         return None
-    try:
-        text = _nat_to_string(code, serial_alphabet(m))
-    except KeyError:  # pragma: no cover - alphabet indexing cannot fail
-        return None
-    parts = text.split(":", 2)
+    parts = m._serial.to_string(code).split(":", 2)
     if len(parts) != 3:
         return None
     state_tok, head_tok, tape = parts
@@ -289,20 +349,13 @@ def _approx(m: TmSpec, parity: int, info=None) -> DeciderEq:
     if info is None:
         info = _point_info(m)
 
-    def gated_succ(x: int) -> int | None:
+    def key(x: int) -> int:
+        """x's one-step successor if x has the gated clock parity, else x."""
         i = info(x)
-        if i is None or i[0] % 2 != parity:
-            return None
-        return i[1]
+        return i[1] if i is not None and i[0] % 2 == parity else x
 
-    def decide(x: int, y: int) -> bool:
-        if x == y:
-            return True
-        sx, sy = gated_succ(x), gated_succ(y)
-        return sx == y or sy == x or (sx is not None and sx == sy)
-
-    return DeciderEq(
-        decide,
+    return DeciderEq.from_key(
+        key,
         cost_note=f"closure of the {'even' if parity == 0 else 'odd'}-clock "
         "one-step relation; at most one simulated step per argument",
     )
@@ -312,8 +365,9 @@ def approx_even(m: TmSpec) -> DeciderEq:
     """Equivalence closure of the one-step relation restricted to even clocks.
 
     Edges from even clocks never chain (targets have odd clocks or are the
-    sink), so the closure is exact with links of length at most one plus a
-    shared-successor case."""
+    sink), so every class is one target together with its sources, and the
+    closure is exactly the kernel of the key x -> successor of x where the
+    gated step is defined, x itself elsewhere."""
     return _approx(m, 0)
 
 
@@ -368,6 +422,7 @@ def halting_probe(
 # -- machines as naturals ----------------------------------------------------
 
 TM_TEXT_ALPHABET = "\n ->:_LRSabcdefghijklmnopqrstuvwxyz0123456789#*+."
+_TM_TEXT = _Numerals(TM_TEXT_ALPHABET)
 
 
 def tm_to_text(m: TmSpec) -> str:
@@ -417,14 +472,14 @@ def tm_from_text(text: str, name: str = "") -> TmSpec:
 def encode_tm(m: TmSpec) -> int:
     """The machine's canonical text as a bijective numeral: machines become
     naturals, so relations on machines are relations on naturals."""
-    return _string_to_nat(tm_to_text(m), TM_TEXT_ALPHABET)
+    return _TM_TEXT.to_nat(tm_to_text(m))
 
 
 def decode_tm(x: int) -> TmSpec | None:
     if x <= 0:
         return None
     try:
-        return tm_from_text(_nat_to_string(x, TM_TEXT_ALPHABET))
+        return tm_from_text(_TM_TEXT.to_string(x))
     except (MachineError, ValueError, KeyError):
         return None
 
@@ -441,8 +496,8 @@ def nonhalt_eq(n: int) -> DeciderEq:
         m = decode_tm(x)
         return m is not None and halt_step(m, "", n) is None
 
-    return DeciderEq(
-        lambda a, b: a == b or (still_running(a) and still_running(b)),
+    return DeciderEq.from_key(
+        lambda x: "run" if still_running(x) else x,
         cost_note=f"bounded simulation, fixed {n} steps",
     )
 
@@ -455,24 +510,10 @@ def nonhalt_family_meet(k: int, machines: Sequence[TmSpec]) -> Partition:
     codes = [encode_tm(m) for m in machines]
     result: Partition | None = None
     for n in range(1, k + 1):
-        d = nonhalt_eq(n)
-        level = Partition.from_classes(
-            _index_classes(len(codes), lambda i, j: d.decide(codes[i], codes[j]))
-        )
+        key = nonhalt_eq(n).key
+        level = Partition.from_key(len(codes), lambda i: key(codes[i]))
         result = level if result is None else result.meet(level)
     return result
-
-
-def _index_classes(count: int, related) -> list[list[int]]:
-    blocks: list[list[int]] = []
-    for i in range(count):
-        for block in blocks:
-            if related(block[0], i):
-                block.append(i)
-                break
-        else:
-            blocks.append([i])
-    return blocks
 
 
 @lru_cache(maxsize=1)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from equlat.automatic import corpus
+from equlat.constructions import BUILTIN_PREDICATES
 from equlat.decider import (
     DeciderEq,
     NotAnEquivalence,
@@ -18,7 +20,26 @@ from equlat.decider import (
     top_decider,
     verify_chain,
 )
-from equlat.partition import Partition, random_partition
+from equlat.partition import Partition, SmallEq, random_partition
+
+
+def _stripped(d: DeciderEq) -> DeciderEq:
+    """The same relation as a black box: no key, so the generic scans run."""
+    return DeciderEq(d.decide, check_bound=0)
+
+
+def _keyed_builtins() -> dict[str, DeciderEq]:
+    rng = random.Random(8)
+    out = {
+        "bottom": bottom_decider(),
+        "top": top_decider(),
+        "parity": parity_decider(),
+        "from_partition": from_partition(random_partition(9, rng)),
+    }
+    for name, pred in BUILTIN_PREDICATES.items():
+        out[f"singular({name})"] = singular_from_predicate(pred)
+    out["meet"] = meet_combinator(out["parity"], out["singular(prime)"])
+    return out
 
 
 class TestRegistration:
@@ -163,12 +184,149 @@ class TestBoundedJoin:
         with pytest.raises(ValueError):
             bounded_join(parity_decider(), parity_decider(), 5, 1, [1, 2], 3)
 
+    def test_universe_of_naturals_only(self):
+        with pytest.raises(ValueError, match="naturals only"):
+            bounded_join(parity_decider(), parity_decider(), 1, 2, [-1, 1, 2], 3)
+
+
+class TestKeyed:
+    def test_which_relations_carry_keys(self):
+        for name, d in _keyed_builtins().items():
+            assert d.key is not None, name
+        black = least_element_complement(parity_decider())
+        assert black.key is None
+        assert DeciderEq(lambda m, n: m % 3 == n % 3).key is None
+        assert meet_combinator(parity_decider(), black).key is None
+
+    def test_from_key_decides_the_kernel(self):
+        d = DeciderEq.from_key(lambda x: x // 3, cost_note="thirds")
+        assert d.decide(3, 5) and not d.decide(2, 3)
+        assert is_equivalence_sampled(d, 40)
+        assert d.restrict(7) == Partition.from_classes([{0, 1, 2}, {3, 4, 5}, {6}])
+
+    def test_builtins_decide_as_before(self):
+        # The closed-form predicates the keyed builtins replace.
+        rng = random.Random(9)
+        part = random_partition(9, rng)
+        even = BUILTIN_PREDICATES["even"]
+        cases = [
+            (bottom_decider(), lambda m, n: m == n),
+            (top_decider(), lambda m, n: True),
+            (parity_decider(), lambda m, n: m % 2 == n % 2),
+            (singular_from_predicate(even), lambda m, n: m == n or (even(m) and even(n))),
+            (
+                from_partition(part),
+                lambda m, n: m == n or (m < 9 and n < 9 and part.related(m, n)),
+            ),
+        ]
+        for d, expect in cases:
+            assert all(d.decide(m, n) == expect(m, n) for m in range(20) for n in range(20))
+
+    def test_restrict_equals_scan_for_every_builtin(self):
+        relations = dict(_keyed_builtins())
+        relations["complement"] = least_element_complement(parity_decider())
+        for name, d in relations.items():
+            for n in (1, 2, 9, 40):
+                assert d.restrict(n) == _stripped(d).restrict(n), (name, n)
+
+    def test_smalleq_and_automatic_restrict_equal_scan(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            s = SmallEq.singular(rng.sample(range(12), rng.randrange(6)), 12)
+            n = rng.randrange(1, 30)
+            assert s.restrict(n) == DeciderEq(s.related, check_bound=0).restrict(n)
+        for name, rel in corpus().items():
+            assert rel.restrict(100) == DeciderEq(rel.decide, check_bound=0).restrict(100), name
+
+    def test_scan_still_rejects_non_equivalences(self):
+        with pytest.raises(NotAnEquivalence, match="not reflexive"):
+            DeciderEq(lambda m, n: m != n, check_bound=0).restrict(3)
+
+
+def _scan_join(d1, d2, m, n, universe, chain_bound):
+    """The pairwise-scanning search that the bucketed one replaced, kept as
+    the oracle: level by level, each point tests every unvisited candidate
+    in ascending order."""
+    candidates = list(range(universe)) if isinstance(universe, int) else sorted(set(universe))
+    if m == n:
+        return RelatedWitness((m,), ())
+    parent = {m: m}
+    frontier = [m]
+    for _ in range(chain_bound):
+        next_frontier = []
+        for x in frontier:
+            for y in candidates:
+                if y not in parent and (d1.decide(x, y) or d2.decide(x, y)):
+                    parent[y] = x
+                    if y == n:
+                        chain = [y]
+                        while chain[-1] != m:
+                            chain.append(parent[chain[-1]])
+                        chain.reverse()
+                        links = tuple(
+                            "left" if d1.decide(a, b) else "right"
+                            for a, b in zip(chain, chain[1:])
+                        )
+                        return RelatedWitness(tuple(chain), links)
+                    next_frontier.append(y)
+        frontier = next_frontier
+    return NotWithinBounds(explored=len(parent))
+
+
+def _join_variants(d1: DeciderEq, d2: DeciderEq, *args):
+    """The oracle's answer, then bounded_join on the keyed pair, both mixed
+    pairs and the black-box pair."""
+    s1, s2 = _stripped(d1), _stripped(d2)
+    pairs = ((d1, d2), (d1, s2), (s1, d2), (s1, s2))
+    return [_scan_join(d1, d2, *args)] + [bounded_join(a, b, *args) for a, b in pairs]
+
+
+class TestKeyedJoinMatchesScan:
+    """Bucketed, mixed and scanning searches return the oracle's chain, links
+    and explored count."""
+
+    def test_seeded_random_keys(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            top = rng.randrange(2, 60)
+            # Few classes, so points have several paths and the visiting
+            # order decides which chain is found.
+            classes = max(1, top // rng.choice((2, 3, 4)))
+            tables = [[rng.randrange(classes) for _ in range(top)] for _ in "ab"]
+            d1 = DeciderEq.from_key(tables[0].__getitem__)
+            d2 = DeciderEq.from_key(tables[1].__getitem__)
+            if rng.random() < 0.5:
+                universe = top
+                pool = list(range(top))
+            else:
+                pool = rng.sample(range(top), rng.randrange(1, top + 1))
+                universe = pool
+            m, n = rng.choice(pool), rng.choice(pool)
+            results = _join_variants(d1, d2, m, n, universe, rng.randrange(0, 8))
+            assert all(r == results[0] for r in results), results
+
+    def test_builtin_pairs(self):
+        rng = random.Random(13)
+        relations = list(_keyed_builtins().values())
+        for _ in range(60):
+            d1, d2 = rng.choice(relations), rng.choice(relations)
+            u = rng.randrange(2, 80)
+            m, n = rng.randrange(u), rng.randrange(u)
+            results = _join_variants(d1, d2, m, n, u, rng.randrange(1, 6))
+            assert all(r == results[0] for r in results)
+
 
 class TestVerifyChain:
     def test_rejects_wrong_links(self):
         d = bottom_decider()
         fake = RelatedWitness((0, 1), ("left",))
         assert not verify_chain(d, d, fake, 4, 4)
+
+    def test_rejects_negative_elements(self):
+        # Keys are defined on the naturals only; -1 is singular's class sentinel.
+        d = singular_from_predicate(BUILTIN_PREDICATES["even"])
+        fake = RelatedWitness((-1, 2), ("left",))
+        assert not verify_chain(d, d, fake, [-1, 2], 1)
 
     def test_rejects_overlong_chains(self):
         d = top_decider()

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from equlat.decider import DeciderEq, NotWithinBounds, bounded_join
 from equlat.tm import (
+    SINK,
+    TM_TEXT_ALPHABET,
     HaltsInSteps,
     MachineError,
     NoHaltWithinBound,
@@ -21,6 +26,8 @@ from equlat.tm import (
     nonhalt_eq,
     nonhalt_family_meet,
     pack_point,
+    serial_alphabet,
+    serialize_config,
     step,
     tm_from_text,
     tm_to_text,
@@ -28,6 +35,35 @@ from equlat.tm import (
     unpack_point,
     zoo,
 )
+from equlat.tm import _last_nonblank, _Numerals
+
+
+# The per-digit loops the divide-and-conquer numerals replaced, kept as oracles.
+def _loop_string_to_nat(s, alphabet):
+    index = {ch: i for i, ch in enumerate(alphabet)}
+    n = 0
+    for ch in s:
+        n = n * len(alphabet) + index[ch] + 1
+    return n
+
+
+def _loop_nat_to_string(n, alphabet):
+    out = []
+    while n > 0:
+        n, r = divmod(n - 1, len(alphabet))
+        out.append(alphabet[r])
+    return "".join(reversed(out))
+
+
+def _loop_last_nonblank(tape, blank):
+    i = len(tape) - 1
+    while i > 0 and tape[i] == blank:
+        i -= 1
+    return i
+
+
+def _alphabets():
+    return sorted({serial_alphabet(m) for m in zoo().values()}) + [tuple(TM_TEXT_ALPHABET)]
 
 
 class TestZoo:
@@ -129,10 +165,52 @@ class TestConfigCoding:
         # '01:1:>_' style strings must not decode: leading zeros would break
         # the bijection between configurations and codes
         m = zoo()["halt"]
-        from equlat.tm import _string_to_nat, serial_alphabet
-
-        bad = _string_to_nat("00:1:>_", serial_alphabet(m))
+        bad = _loop_string_to_nat("00:1:>_", serial_alphabet(m))
         assert decode_config(m, bad) is None
+
+
+class TestNumerals:
+    def test_matches_digit_loops_below_5000(self):
+        for alphabet in _alphabets():
+            numerals = _Numerals(alphabet)
+            for n in range(5000):
+                text = _loop_nat_to_string(n, alphabet)
+                assert numerals.to_string(n) == text
+                assert numerals.to_nat(text) == n
+
+    def test_matches_digit_loops_on_long_strings(self):
+        rng = random.Random(21)
+        for alphabet in _alphabets():
+            numerals = _Numerals(alphabet)
+            for _ in range(40):
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1201)))
+                n = _loop_string_to_nat(text, alphabet)
+                assert numerals.to_nat(text) == n
+                assert numerals.to_string(n) == text
+
+    def test_configuration_codes_unchanged_along_long_runs(self):
+        for name in ("builder", "shuttle", "sweeper"):
+            m = zoo()[name]
+            alphabet = serial_alphabet(m)
+            for c in trajectory(m, "", 1000)[::37]:
+                code = encode_config(m, c)
+                assert code == _loop_string_to_nat(serialize_config(m, c), alphabet)
+                assert decode_config(m, code) == c
+
+    def test_last_nonblank_matches_loop(self):
+        rng = random.Random(22)
+        for _ in range(500):
+            tape = ">" + "".join(rng.choice("_1_") for _ in range(rng.randrange(8)))
+            assert _last_nonblank(tape, "_") == _loop_last_nonblank(tape, "_")
+
+    def test_alphabets_cached_per_machine(self):
+        m = zoo()["builder"]
+        assert m.alphabet is m.alphabet
+        assert serial_alphabet(m) is serial_alphabet(m)
+
+    def test_needs_two_symbols(self):
+        with pytest.raises(ValueError):
+            _Numerals("a")
 
 
 class TestPointPacking:
@@ -215,6 +293,71 @@ class TestApproxClosures:
             for x in pts:
                 for y in pts:
                     assert dec.decide(x, y) == (find(x) == find(y))
+
+
+def _gated_successor(m, x, parity):
+    """The one-step target of x when x is a valid point with the given clock
+    parity, computed from the public coding functions."""
+    if x == SINK:
+        return None
+    clock, code = unpack_point(x)
+    c = decode_config(m, code)
+    if c is None or clock % 2 != parity:
+        return None
+    nxt = step(m, c)
+    return SINK if nxt is None else pack_point(clock + 1, encode_config(m, nxt))
+
+
+class TestApproxKey:
+    def test_key_kernel_equals_closure_formula(self):
+        rng = random.Random(23)
+        for name, m in zoo().items():
+            symbols = [a for a in m.alphabet if a != ">"]
+            traj = trajectory(m, "", 24) + trajectory(m, rng.choice(symbols) * 3, 12)
+            sample = {SINK, pack_point(3, 0)} | {rng.randrange(1 << 40) for _ in range(8)}
+            for t, c in enumerate(traj):
+                code = encode_config(m, c)
+                sample |= {pack_point(t % 25, code), pack_point(t % 25 + 1, code)}
+            for parity, d in ((0, approx_even(m)), (1, approx_odd(m))):
+                succ = {x: _gated_successor(m, x, parity) for x in sample}
+                for x in sample:
+                    for y in sample:
+                        sx, sy = succ[x], succ[y]
+                        old = x == y or sx == y or sy == x or (sx is not None and sx == sy)
+                        assert d.decide(x, y) == old, (name, parity, x, y)
+
+
+def _scanning_probe_join(m, input_str, bound):
+    """The join search halting_probe makes, on key-stripped closures."""
+    configs = trajectory(m, input_str, bound)
+    points = [pack_point(t, encode_config(m, c)) for t, c in enumerate(configs)]
+    even, odd = (DeciderEq(d.decide, check_bound=0) for d in (approx_even(m), approx_odd(m)))
+    return bounded_join(even, odd, points[0], SINK, set(points) | {SINK}, 2 * bound + 2)
+
+
+class TestProbeKeyedJoin:
+    """The probe's bucketed join returns the chain, links and explored count
+    of the scanning join on every zoo machine."""
+
+    def check(self, m, input_str, bound):
+        probe = halting_probe(m, input_str, bound)
+        scan = _scanning_probe_join(m, input_str, bound)
+        if isinstance(probe, HaltsInSteps):
+            assert probe.witness == scan
+        else:
+            assert scan == NotWithinBounds(probe.explored)
+
+    def test_whole_zoo_at_bound_1000(self):
+        for m in zoo().values():
+            self.check(m, "", 1000)
+
+    def test_whole_zoo_on_several_inputs(self):
+        rng = random.Random(24)
+        for m in zoo().values():
+            symbols = [a for a in m.alphabet if a != ">"]
+            for _ in range(3):
+                inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 6)))
+                self.check(m, inp, rng.randrange(50, 250))
 
 
 class TestHaltingProbe:
