@@ -27,12 +27,10 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from .dfa import (
     Dfa,
     binary,
-    canonical_number_dfa,
     minimize,
     pair_format_dfa,
     pair_word,
     product,
-    shortest_accepted,
     subset_of,
 )
 from .partition import Partition
@@ -56,27 +54,27 @@ def _format_clean(d: Dfa) -> Dfa:
     return minimize(product(d, pair_format_dfa(), operator.and_))
 
 
-def _numerals(d: Dfa, starts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Read one canonical numeral from every state of ``starts`` at once and
-    map each tuple of states so reached to the least value reaching it.
+def _numerals(*automata: tuple[Sequence[Sequence[int]], int]) -> dict[tuple[int, ...], int]:
+    """Read one canonical numeral through every ``(delta, start)`` automaton
+    at once and map each tuple of states so reached to the least value
+    reaching it.
 
     A shortlex BFS: "0" cannot be extended, "1" can by any digits, and values
     are dequeued in increasing order, so the first one kept is the least and
     the keys come out in increasing order of their values.
     """
-
-    def step(t: tuple[int, ...], bit: int) -> tuple[int, ...]:
-        return tuple(d.delta[s][bit] for s in t)
-
-    least = {step(starts, 0): 0}
-    one = step(starts, 1)
+    deltas = [delta for delta, _ in automata]
+    rows = [delta[start] for delta, start in automata]
+    least = {tuple([row[0] for row in rows]): 0}
+    one = tuple([row[1] for row in rows])
     queue = deque([(one, 1)])
     enqueued = {one}
     while queue:
         t, v = queue.popleft()
         least.setdefault(t, v)
+        rows = [delta[s] for delta, s in zip(deltas, t)]
         for bit in (0, 1):
-            u = step(t, bit)
+            u = tuple([row[bit] for row in rows])
             if u not in enqueued:
                 enqueued.add(u)
                 queue.append((u, 2 * v + bit))
@@ -95,10 +93,10 @@ class _ClassTable:
 
     def __init__(self, d: Dfa):
         self.dfa = d
-        self.classes = {d.delta[s][2] for (s,) in _numerals(d, (d.start,))}
+        self.classes = {d.delta[s][2] for (s,) in _numerals((d.delta, d.start))}
         self.answers: dict[tuple[int, int], set[bool]] = {}
         for r in self.classes:
-            for p, q in _numerals(d, (d.start, r)):
+            for p, q in _numerals((d.delta, d.start), (d.delta, r)):
                 self.answers.setdefault((d.delta[p][2], r), set()).add(q in d.accepting)
 
     def reflexive(self) -> bool:
@@ -160,7 +158,7 @@ class AutomaticEq:
     numeral-reachable state to its class and each class to its least value.
     """
 
-    __slots__ = ("dfa", "_state_class", "_reps", "_class_dfas")
+    __slots__ = ("dfa", "_state_class", "_reps")
 
     def __init__(self, dfa: Dfa, _trusted: bool = False):
         if not _trusted:
@@ -168,7 +166,6 @@ class AutomaticEq:
         self.dfa = dfa
         self._state_class = None
         self._reps = None
-        self._class_dfas = {}
 
     @classmethod
     def from_dfa(cls, d: Dfa) -> "AutomaticEq":
@@ -207,7 +204,7 @@ class AutomaticEq:
             index: dict[int, int] = {}
             reps: list[int] = []
             state_class: dict[int, int] = {}
-            for (s,), least in _numerals(d, (d.start,)).items():
+            for (s,), least in _numerals((d.delta, d.start)).items():
                 r = d.delta[s][2]
                 if r not in index:
                     index[r] = len(reps)
@@ -225,19 +222,6 @@ class AutomaticEq:
     def class_count(self) -> int:
         return len(self._classes()[1])
 
-    def class_language(self, index: int) -> Dfa:
-        """DFA for the canonical numerals of the values in class ``index``."""
-        if index not in self._class_dfas:
-            state_class, reps = self._classes()
-            if not 0 <= index < len(reps):
-                raise IndexError(f"no class {index}")
-            accept = {s for s, c in state_class.items() if c == index}
-            raw = Dfa(self.dfa.delta, self.dfa.start, accept)
-            self._class_dfas[index] = minimize(
-                product(raw, canonical_number_dfa(), operator.and_)
-            )
-        return self._class_dfas[index]
-
     def meet(self, other: "AutomaticEq") -> "AutomaticEq":
         """Conjunction of the two relations (product automaton)."""
         return AutomaticEq._trust(product(self.dfa, other.dfa, operator.and_))
@@ -246,52 +230,37 @@ class AutomaticEq:
         """Join, together with the finite evidence it is built from.
 
         Classes of the two relations are nodes of a bipartite graph with an
-        edge whenever the class languages intersect; the join's classes are
-        the connected components.  Each edge carries its least shared value
-        as a witness.
+        edge whenever they share a value; the join's classes are the
+        connected components.  One numeral BFS through both automata finds
+        every edge with its least shared value as a witness.
         """
-        left_count = self.class_count
-        right_count = other.class_count
-        edges = []
-        witnesses = {}
-        for i in range(left_count):
-            for j in range(right_count):
-                inter = product(
-                    self.class_language(i), other.class_language(j), operator.and_
-                )
-                word = shortest_accepted(inter)
-                if word is not None:
-                    edges.append((i, j))
-                    witnesses[(i, j)] = int(word, 2)
-        parent = list(range(left_count + right_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in edges:
-            ri, rj = find(i), find(left_count + j)
-            if ri != rj:
-                parent[ri] = rj
-        component = {}
-        left_component = []
-        for i in range(left_count):
-            left_component.append(component.setdefault(find(i), len(component)))
-        state_class, _ = self._classes()
-        key_of = {s: left_component[c] for s, c in state_class.items()}
-        delta01 = tuple((row[0], row[1]) for row in self.dfa.delta)
-        joined = AutomaticEq._trust(
-            kernel_pair_dfa(delta01, self.dfa.start, key_of)
+        left_class, left_reps = self._classes()
+        right_class, right_reps = other._classes()
+        least: dict[tuple[int, int], int] = {}
+        for (p, q), v in _numerals(
+            (self.dfa.delta, self.dfa.start), (other.dfa.delta, other.dfa.start)
+        ).items():
+            least.setdefault((left_class[p], right_class[q]), v)
+        edges = sorted(least)
+        # Every left class has an edge: its least value lies in a right class.
+        components = Partition.from_key(len(edges), lambda e: edges[e][0]).join(
+            Partition.from_key(len(edges), lambda e: edges[e][1])
         )
+        label: dict[int, int] = {}  # left class -> its component, in class order
+        for e, (i, _) in enumerate(edges):
+            label.setdefault(i, components.labels[e])
+        number: dict[int, int] = {}
+        left_components = tuple(number.setdefault(c, len(number)) for c in label.values())
+        blocks: list[list[int]] = [[] for _ in number]
+        for i, c in enumerate(left_components):
+            blocks[c].append(i)
         return JoinCertificate(
-            result=joined,
-            left_representatives=tuple(self.representatives()),
-            right_representatives=tuple(other.representatives()),
+            result=self.coarsen(blocks),
+            left_representatives=left_reps,
+            right_representatives=right_reps,
             edges=tuple(edges),
-            witnesses=dict(witnesses),
-            left_components=tuple(left_component),
+            witnesses={e: least[e] for e in edges},
+            left_components=left_components,
         )
 
     def join(self, other: "AutomaticEq") -> "AutomaticEq":
@@ -304,6 +273,9 @@ class AutomaticEq:
         state_class, reps = self._classes()
         block_of: dict[int, int] = {}
         for b, block in enumerate(blocks):
+            block = list(block)
+            if not block:
+                raise ValueError(f"block {b} is empty")
             for idx in block:
                 if idx in block_of or not 0 <= idx < len(reps):
                     raise ValueError(f"bad class grouping at index {idx}")

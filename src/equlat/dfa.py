@@ -111,30 +111,8 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
     return Dfa(delta, 0, accepting)
 
 
-def complement(d: Dfa) -> Dfa:
-    return Dfa(d.delta, d.start, frozenset(range(d.state_count)) - d.accepting)
-
-
 def is_empty(d: Dfa) -> bool:
     return not any(s in d.accepting for s in reachable_states(d))
-
-
-def shortest_accepted(d: Dfa) -> str | None:
-    """Shortlex-least accepted word (symbol order 0 < 1 < B), or None."""
-    if d.start in d.accepting:
-        return ""
-    words = {d.start: ""}
-    queue = deque([d.start])
-    while queue:
-        s = queue.popleft()
-        for i, ch in enumerate(ALPHABET):
-            t = d.delta[s][i]
-            if t not in words:
-                words[t] = words[s] + ch
-                if t in d.accepting:
-                    return words[t]
-                queue.append(t)
-    return None
 
 
 def subset_of(a: Dfa, b: Dfa) -> bool:
@@ -222,21 +200,6 @@ class Nfa:
             if cur & self.accepting:
                 accepting.add(index[cur])
         return Dfa(delta, 0, accepting)
-
-
-def canonical_number_dfa() -> Dfa:
-    """Accepts exactly the canonical binary numerals over {0,1}."""
-    # states: 0 empty, 1 read "0", 2 read "1...", 3 dead
-    return Dfa(
-        [
-            (1, 2, 3),
-            (3, 3, 3),
-            (2, 2, 3),
-            (3, 3, 3),
-        ],
-        0,
-        {1, 2},
-    )
 
 
 def pair_format_dfa() -> Dfa:

@@ -503,17 +503,17 @@ def nonhalt_eq(n: int) -> DeciderEq:
 
 
 def nonhalt_family_meet(k: int, machines: Sequence[TmSpec]) -> Partition:
-    """Fold the meets of nonhalt_eq(1..k) over an explicit machine list and
-    materialize the result on the list's indices."""
+    """The meet of nonhalt_eq(1..k), materialized on the indices of an
+    explicit machine list.
+
+    A machine still running after k steps is still running after every
+    n <= k, so the meet over levels 1..k is the kernel of level k alone.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     codes = [encode_tm(m) for m in machines]
-    result: Partition | None = None
-    for n in range(1, k + 1):
-        key = nonhalt_eq(n).key
-        level = Partition.from_key(len(codes), lambda i: key(codes[i]))
-        result = level if result is None else result.meet(level)
-    return result
+    key = nonhalt_eq(k).key
+    return Partition.from_key(len(codes), lambda i: key(codes[i]))
 
 
 @lru_cache(maxsize=1)

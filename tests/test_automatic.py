@@ -20,7 +20,7 @@ from equlat.automatic import (
     singleton_family,
     universal_relation,
 )
-from equlat.dfa import Dfa, equivalent, minimize, pair_word, product
+from equlat.dfa import Dfa, binary, equivalent, minimize, pair_word, product
 from equlat.partition import Partition
 from equlat.verify import _brute_axioms
 
@@ -307,6 +307,119 @@ class TestJoin:
                         assert joined.decide(m, n)
 
 
+# canonical numerals over {0,1,B}: 0 empty, 1 read "0", 2 read "1...", 3 dead
+_CANONICAL = Dfa([(1, 2, 3), (3, 3, 3), (2, 2, 3), (3, 3, 3)], 0, {1, 2})
+
+
+def _shortest_accepted(d):
+    """Shortlex-least accepted word (symbol order 0 < 1 < B), or None."""
+    words = {d.start: ""}
+    queue = [d.start]
+    for s in queue:
+        if s in d.accepting:
+            return words[s]
+        for ch, t in zip("01B", d.delta[s]):
+            if t not in words:
+                words[t] = words[s] + ch
+                queue.append(t)
+    return None
+
+
+def _pairwise_join(a, b):
+    """The join as the per-class-pair search builds it: one minimized class
+    language per class, a product and a shortest word per class pair, a
+    union-find over the bipartite class graph, then the component kernel."""
+
+    def languages(rel):
+        d = rel.dfa
+        seps = [d.run(binary(r) + "B") for r in rel.representatives()]
+        return [
+            minimize(product(
+                Dfa(d.delta, d.start, {s for s in range(d.state_count) if d.delta[s][2] == r}),
+                _CANONICAL, operator.and_,
+            ))
+            for r in seps
+        ], seps
+
+    left, seps = languages(a)
+    right, _ = languages(b)
+    edges, witnesses = [], {}
+    for i, li in enumerate(left):
+        for j, rj in enumerate(right):
+            word = _shortest_accepted(product(li, rj, operator.and_))
+            if word is not None:
+                edges.append((i, j))
+                witnesses[i, j] = int(word, 2)
+    parent = list(range(len(left) + len(right)))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        parent[root(i)] = root(len(left) + j)
+    number = {}
+    components = tuple(number.setdefault(root(i), len(number)) for i in range(len(left)))
+    d = a.dfa
+    key_of = {
+        s: components[seps.index(d.delta[s][2])]
+        for s in range(d.state_count) if d.delta[s][2] in seps
+    }
+    delta01 = tuple((row[0], row[1]) for row in d.delta)
+    return {
+        "left_representatives": tuple(a.representatives()),
+        "right_representatives": tuple(b.representatives()),
+        "edges": tuple(edges),
+        "witnesses": list(witnesses.items()),
+        "left_components": components,
+        "result": minimize(kernel_pair_dfa(delta01, d.start, key_of)),
+    }
+
+
+def _certificate_fields(cert):
+    return {
+        "left_representatives": cert.left_representatives,
+        "right_representatives": cert.right_representatives,
+        "edges": cert.edges,
+        "witnesses": list(cert.witnesses.items()),
+        "left_components": cert.left_components,
+        "result": cert.result.dfa,
+    }
+
+
+def _folded_singletons(indices):
+    acc = singleton_family(indices[0])
+    for i in indices[1:]:
+        acc = acc.meet(singleton_family(i))
+    return acc
+
+
+def _fresh_relations(rng):
+    """Corpus relations and seeded folded singleton meets, built anew."""
+    out = dict(corpus.__wrapped__())
+    for t in range(8):
+        indices = rng.sample(range(1, 40), rng.randint(1, 6))
+        out[f"singletons{t}"] = _folded_singletons(indices)
+    return out
+
+
+class TestJoinDifferential:
+    def test_matches_pairwise_search(self):
+        names = sorted(_fresh_relations(random.Random(5)))
+        pairs = [(x, y) for x in names for y in names]
+        new = _fresh_relations(random.Random(5))
+        old = _fresh_relations(random.Random(5))
+        for x, y in pairs:
+            expected = _pairwise_join(old[x], old[y])
+            got = _certificate_fields(new[x].join_certificate(new[y]))
+            result, want = got.pop("result"), expected.pop("result")
+            assert got == expected, (x, y)
+            assert (result.delta, result.start, result.accepting) == (
+                want.delta, want.start, want.accepting
+            ), (x, y)
+
+
 class TestCoarsen:
     def test_singleton_grouping_is_identity(self):
         a = corpus()["mod3"]
@@ -329,6 +442,8 @@ class TestCoarsen:
             a.coarsen([[0, 1]])  # class 2 missing
         with pytest.raises(ValueError):
             a.coarsen([[0, 1], [1, 2]])  # duplicate
+        with pytest.raises(ValueError):
+            a.coarsen([[0, 1, 2], []])  # empty block
 
 
 class TestSingletonFamily:

@@ -7,8 +7,6 @@ from equlat.dfa import (
     Dfa,
     Nfa,
     binary,
-    canonical_number_dfa,
-    complement,
     dfa_from_text,
     dfa_to_text,
     equivalent,
@@ -18,7 +16,6 @@ from equlat.dfa import (
     pair_format_dfa,
     pair_word,
     product,
-    shortest_accepted,
     subset_of,
 )
 
@@ -33,16 +30,6 @@ def test_binary_is_canonical(n):
 def test_pair_word():
     assert pair_word(5, 2) == "101B10"
     assert pair_word(0, 0) == "0B0"
-
-
-def test_canonical_number_dfa():
-    d = canonical_number_dfa()
-    for n in range(64):
-        assert d.accepts(binary(n))
-    assert not d.accepts("")
-    assert not d.accepts("01")
-    assert not d.accepts("00")
-    assert not d.accepts("1B")
 
 
 def test_pair_format_dfa():
@@ -83,26 +70,12 @@ def test_product_and_emptiness():
     assert union.accepts("0B0") and union.accepts("1B1") and not union.accepts("0B1")
 
 
-def test_complement():
-    d = _word_dfa("10")
-    c = complement(d)
-    assert not c.accepts("10")
-    assert c.accepts("11")
-    assert c.accepts("")
-
-
 def test_subset_and_equivalence():
     a = _word_dfa("0B0")
     assert subset_of(a, pair_format_dfa())
     assert not subset_of(pair_format_dfa(), a)
     assert equivalent(a, a)
     assert not equivalent(a, _word_dfa("1B1"))
-
-
-def test_shortest_accepted_shortlex():
-    d = product(_word_dfa("10"), _word_dfa("1"), operator.or_)
-    assert shortest_accepted(d) == "1"
-    assert shortest_accepted(product(_word_dfa("1"), _word_dfa("0"), operator.and_)) is None
 
 
 def test_minimize_preserves_language_and_shrinks():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from equlat.decider import DeciderEq, NotWithinBounds, bounded_join
+from equlat.partition import Partition
 from equlat.tm import (
     SINK,
     TM_TEXT_ALPHABET,
@@ -421,6 +422,21 @@ class TestNonHalting:
             if prev is not None:
                 assert big <= prev
             prev = big
+
+    def test_family_meet_is_fold_of_levels(self):
+        # oracle: the explicit meet over every level 1..k
+        machines = list(zoo().values())
+        machines.append(machines[3])  # a repeated machine shares its class
+        codes = [encode_tm(m) for m in machines]
+        for k in range(1, 41):
+            fold = None
+            for n in range(1, k + 1):
+                key = nonhalt_eq(n).key
+                level = Partition.from_key(len(codes), lambda i: key(codes[i]))
+                fold = level if fold is None else fold.meet(level)
+            part = nonhalt_family_meet(k, machines)
+            assert part == fold, k
+            assert part.related(3, len(machines) - 1)
 
     def test_machine_coding_round_trip(self):
         for m in zoo().values():
