@@ -22,6 +22,13 @@ Configuration coding, bit-exactly:
     Numbers that decode to (clock, 0) or to a malformed configuration are
     not valid points; they are singleton classes in every derived relation.
 
+A halting probe codes each point of its trajectory once, step by step: the
+first configuration is encoded in full, and every later code follows from
+its predecessor by the one cell the step wrote and the at most one cell by
+which the tape grew or shrank.  The probe's point table is
+pre-filled from the trajectory, so its search decodes nothing; codes are
+decoded only to re-check a positive witness against a fresh table.
+
 Machine descriptions are serialized through the same text format the zoo
 files use and coded as bijective numerals over a fixed character alphabet,
 which turns "machines" into naturals for the non-halting relations.
@@ -107,6 +114,12 @@ class TmSpec:
         """The numeral system of configuration codes (see serial_alphabet)."""
         return _Numerals(dict.fromkeys("0123456789:" + "".join(self.alphabet)))
 
+    @cached_property
+    def _prefix_codes(self) -> dict[tuple[str, int], int]:
+        """The numeral value of "<state index>:<head>:" per (state, head),
+        filled as configurations are coded."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -153,6 +166,8 @@ def step(m: TmSpec, c: Configuration) -> Configuration | None:
 
 def trajectory(m: TmSpec, input_str: str, max_steps: int) -> list[Configuration]:
     """Configurations c_0 .. c_k with k = min(halting step, max_steps)."""
+    if max_steps < 0:
+        raise ValueError(f"step bound must be non-negative, got {max_steps}")
     out = [init_config(m, input_str)]
     while len(out) <= max_steps:
         nxt = step(m, out[-1])
@@ -261,6 +276,57 @@ def encode_config(m: TmSpec, c: Configuration) -> int:
     return m._serial.to_nat(serialize_config(m, c))
 
 
+def _config_codes(m: TmSpec, run: Sequence[Configuration], first_code: int) -> list[int]:
+    """encode_config of every configuration of a run (each the step of the
+    one before), given the first one's code; each later code is updated from
+    its predecessor's.
+
+    The code of "s:h:tape" is value("s:h:") * k^T + value(tape) with T the
+    tape length.  A step rewrites the head cell, whose weight is
+    k^(T - 1 - head), and grows the tape by one blank cell (moving right off
+    its end) or drops one trailing blank (moving left off it), so each code
+    costs a few small-times-big updates of value(tape), k^T and the head
+    weight, plus value("s:h:"), which is cached per machine and (state, head).
+    """
+    numerals = m._serial
+    k, value = numerals.k, numerals._value
+    blank = value[m.blank]
+    prefixes = m._prefix_codes
+
+    def prefix(c: Configuration) -> int:
+        p = prefixes.get((c.state, c.head))
+        if p is None:
+            p = prefixes[c.state, c.head] = numerals.to_nat(
+                f"{m.states.index(c.state)}:{c.head}:"
+            )
+        return p
+
+    first = run[0]
+    k_length = k ** len(first.tape)
+    head_weight = k ** (len(first.tape) - 1 - first.head)
+    tape_value = first_code - prefix(first) * k_length
+    codes = [first_code]
+    for prev, c in zip(run, run[1:]):
+        h, old, new = prev.head, prev.tape, c.tape
+        written = new[h] if h < len(new) else m.blank
+        if written != old[h]:
+            tape_value += (value[written] - value[old[h]]) * head_weight
+        grown = len(new) - len(old)
+        if grown > 0:
+            tape_value = tape_value * k + blank
+            k_length *= k
+        elif grown < 0:
+            tape_value = (tape_value - blank) // k
+            k_length //= k
+        shift = grown - (c.head - h)  # change of the head weight's exponent
+        if shift > 0:
+            head_weight *= k
+        elif shift < 0:
+            head_weight //= k
+        codes.append(prefix(c) * k_length + tape_value)
+    return codes
+
+
 def decode_config(m: TmSpec, code: int) -> Configuration | None:
     """Inverse of encode_config on valid codes; None for anything malformed."""
     if code <= 0:
@@ -311,35 +377,39 @@ def unpack_point(x: int) -> tuple[int, int]:
     return cantor_unpair(x - 1)
 
 
-def _point_info(m: TmSpec) -> Callable[[int], tuple[int, int] | None]:
-    """Cached map x -> (clock, arrow target) for valid non-sink points."""
+class _PointInfo(dict):
+    """x -> (clock, arrow target) for valid non-sink points, None for every
+    other natural.  A plain dict memo: a miss decodes x, and a probe
+    pre-fills the points of the trajectory it has simulated."""
 
-    @lru_cache(maxsize=None)
-    def info(x: int):
-        if x == SINK:
-            return None
-        clock, code = unpack_point(x)
-        if code == 0:
-            return None
-        c = decode_config(m, code)
+    __slots__ = ("m",)
+
+    def __init__(self, m: TmSpec):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, x: int) -> tuple[int, int] | None:
+        m = self.m
+        clock, code = unpack_point(x)  # the sink unpacks to code 0
+        c = decode_config(m, code) if code else None
         if c is None:
-            return None
-        if c.state in m.halting:
-            return clock, SINK
-        nxt = step(m, c)
-        return clock, pack_point(clock + 1, encode_config(m, nxt))
-
-    return info
+            info = None
+        elif c.state in m.halting:
+            info = clock, SINK
+        else:
+            info = clock, pack_point(clock + 1, encode_config(m, step(m, c)))
+        self[x] = info
+        return info
 
 
 def clocked_step(m: TmSpec) -> Callable[[int, int], bool]:
     """The one-step relation on packed points: the clock advances by one and
     the configuration advances by one machine step, except that a halted
     configuration steps to the sink."""
-    info = _point_info(m)
+    info = _PointInfo(m)
 
     def arrow(x: int, y: int) -> bool:
-        i = info(x)
+        i = info[x]
         return i is not None and y == i[1]
 
     return arrow
@@ -347,11 +417,11 @@ def clocked_step(m: TmSpec) -> Callable[[int, int], bool]:
 
 def _approx(m: TmSpec, parity: int, info=None) -> DeciderEq:
     if info is None:
-        info = _point_info(m)
+        info = _PointInfo(m)
 
     def key(x: int) -> int:
         """x's one-step successor if x has the gated clock parity, else x."""
-        i = info(x)
+        i = info[x]
         return i[1] if i is not None and i[0] % 2 == parity else x
 
     return DeciderEq.from_key(
@@ -401,19 +471,38 @@ def halting_probe(
     even/odd closures.  The search window is the set of points reachable
     within ``step_bound`` steps plus the sink (so the universe bound is the
     largest packed code reachable in that many steps), and the chain bound is
-    2 * step_bound + 2.  A positive answer carries the verified chain.
+    2 * step_bound + 2.
+
+    Each trajectory point is coded once and pre-filled into the point table
+    with its clock and successor (the sink after a halted configuration), so
+    the search decodes nothing.  A positive answer carries a chain that has
+    been re-checked against a freshly decoding table.
     """
     configs = trajectory(m, input_str, step_bound)
-    info = _point_info(m)
-    even = _approx(m, 0, info)
-    odd = _approx(m, 1, info)
-    points = [pack_point(t, encode_config(m, c)) for t, c in enumerate(configs)]
-    candidates = set(points) | {SINK}
+    last = configs[-1]
+    halted = last.state in m.halting
+    run = configs if halted else configs + [step(m, last)]
+    first_code = encode_config(m, configs[0])
+    points = [pack_point(t, code) for t, code in enumerate(_config_codes(m, run, first_code))]
+    if halted:
+        points.append(SINK)
+    info = _PointInfo(m)
+    for t in range(len(configs)):
+        info[points[t]] = (t, points[t + 1])
+    candidates = set(points[: len(configs)]) | {SINK}
     chain_bound = 2 * step_bound + 2
     universe_bound = max(candidates) + 1
-    result = bounded_join(even, odd, points[0], SINK, candidates, chain_bound)
+    result = bounded_join(
+        _approx(m, 0, info), _approx(m, 1, info), points[0], SINK, candidates, chain_bound
+    )
     if isinstance(result, RelatedWitness):
-        if not verify_chain(even, odd, result, candidates, chain_bound):
+        # Independent of the incremental codes: the chain must start at the
+        # encoded initial configuration and hold link by link on points the
+        # fresh table decodes itself.
+        fresh = _PointInfo(m)
+        if result.chain[0] != pack_point(0, first_code) or not verify_chain(
+            _approx(m, 0, fresh), _approx(m, 1, fresh), result, candidates, chain_bound
+        ):
             raise AssertionError("search returned an unverifiable chain")
         return HaltsInSteps(len(result.chain) - 2, result, universe_bound, chain_bound)
     return NoHaltWithinBound(step_bound, universe_bound, chain_bound, result.explored)

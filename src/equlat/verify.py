@@ -413,7 +413,7 @@ def tm_checks(step_bound: int = 1000) -> list[CheckResult]:
     parity_ok = True
     for name in ("increment", "sweeper", "flipper"):
         m = zoo[name]
-        info = tmlab._point_info(m)
+        info = tmlab._PointInfo(m)
         points = [
             tmlab.pack_point(t, tmlab.encode_config(m, c))
             for t, c in enumerate(tmlab.trajectory(m, "11" if name != "flipper" else "", 10))
@@ -421,7 +421,7 @@ def tm_checks(step_bound: int = 1000) -> list[CheckResult]:
         for parity in (0, 1):
             succs = {}
             for x in points:
-                i = info(x)
+                i = info[x]
                 if i is not None and i[0] % 2 == parity:
                     succs[x] = i[1]
             # successor is a function (one arrow per point, by construction);

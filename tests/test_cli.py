@@ -262,3 +262,24 @@ class TestExitContract:
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "automatic", "builtin", "zzz")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tm", "probe", "builder", "", "--bound", "-5"),
+            ("tm", "run", "builder", "", "--bound", "-5"),
+            ("demo", "join-undecidable", "--machine", "builder", "--bound", "-5"),
+            ("verify", "tm", "--tm-bound", "-1"),
+        ],
+    )
+    def test_negative_step_bound(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "non-negative" in err
+        assert "chain bound" not in out
+
+    def test_zero_step_bound(self, capsys):
+        code, out, _ = run(capsys, "tm", "probe", "halt", "", "--bound", "0")
+        assert code == 0 and "halts in 0 steps" in out
+        code, out, _ = run(capsys, "tm", "probe", "builder", "", "--bound", "0")
+        assert code == 0 and "no halt within 0 steps" in out

@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from equlat import tm
 from equlat.decider import DeciderEq, NotWithinBounds, bounded_join
 from equlat.partition import Partition
 from equlat.tm import (
@@ -36,7 +38,11 @@ from equlat.tm import (
     unpack_point,
     zoo,
 )
-from equlat.tm import _last_nonblank, _Numerals
+from equlat.tm import _config_codes, _last_nonblank, _Numerals, _PointInfo
+
+# Halts after several hundred steps on the empty input; kept out of the zoo,
+# which the benchmark and `equlat verify tm` iterate.
+LONG_HALT = Path(__file__).parent / "machines" / "long_halt.tm"
 
 
 # The per-digit loops the divide-and-conquer numerals replaced, kept as oracles.
@@ -444,3 +450,189 @@ class TestNonHalting:
 
     def test_small_numbers_are_not_machines(self):
         assert all(decode_tm(x) is None for x in range(64))
+
+
+def _long_halt():
+    return load_machine(str(LONG_HALT))
+
+
+def _coding_runs():
+    """Zoo runs on the empty input up to bound 1000 and on seeded random
+    inputs, plus the long-halting machine's run."""
+    rng = random.Random(25)
+    for m in zoo().values():
+        yield m, trajectory(m, "", 1000)
+        symbols = [a for a in m.alphabet if a != ">"]
+        for _ in range(3):
+            inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 9)))
+            yield m, trajectory(m, inp, rng.randrange(50, 400))
+    long_halt = _long_halt()
+    for inp in ("", "1011"):
+        yield long_halt, trajectory(long_halt, inp, 1000)
+
+
+def _probe_tables(monkeypatch, m, input_str, bound):
+    """The probe's result and every point table it made, in order."""
+    tables = []
+
+    def recording(machine):
+        table = _PointInfo(machine)
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(tm, "_PointInfo", recording)
+    result = halting_probe(m, input_str, bound)
+    monkeypatch.undo()
+    return result, tables
+
+
+class TestIncrementalCodes:
+    def test_codes_equal_encode_config(self):
+        seen = {"growth": 0, "shrink": 0, "last-cell write": 0, "head at cell 0": 0}
+        for m, run in _coding_runs():
+            codes = [encode_config(m, c) for c in run]
+            assert _config_codes(m, run, codes[0]) == codes, m.name
+            for a, b in zip(run, run[1:]):
+                seen["growth"] += len(b.tape) > len(a.tape)
+                seen["shrink"] += len(b.tape) < len(a.tape)
+                seen["last-cell write"] += (
+                    a.head == len(a.tape) - 1 < len(b.tape) and a.tape[-1] != b.tape[a.head]
+                )
+                seen["head at cell 0"] += b.head == 0
+        assert all(seen.values()), seen
+
+    def test_single_configuration(self):
+        m = zoo()["halt"]
+        c = init_config(m, "")
+        assert _config_codes(m, [c], encode_config(m, c)) == [encode_config(m, c)]
+
+
+class TestSeededPointTable:
+    def test_seeded_equals_decoded(self, monkeypatch):
+        rng = random.Random(26)
+        cases = [(_long_halt(), "", 400), (_long_halt(), "", 200), (_long_halt(), "1011", 300)]
+        for m in zoo().values():
+            symbols = [a for a in m.alphabet if a != ">"]
+            inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 9)))
+            cases += [(m, "", 61), (m, inp, 40)]
+        outcomes = set()
+        for m, input_str, bound in cases:
+            configs = trajectory(m, input_str, bound)
+            points = [pack_point(t, encode_config(m, c)) for t, c in enumerate(configs)]
+            result, tables = _probe_tables(monkeypatch, m, input_str, bound)
+            seeded, decoded = tables[0], _PointInfo(m)
+            assert all(x in seeded for x in points)
+            for x in points:
+                assert seeded[x] == decoded[x], (m.name, input_str, unpack_point(x)[0])
+            halted = configs[-1].state in m.halting
+            assert (seeded[points[-1]][1] == SINK) == halted
+            assert isinstance(result, HaltsInSteps) == halted
+            # a positive answer is re-checked on one fresh table, a negative one is not
+            assert len(tables) == (2 if halted else 1)
+            outcomes.add(halted)
+        assert outcomes == {False, True}
+
+
+class TestProbeReCheck:
+    @pytest.mark.parametrize(
+        "name, input_str, bound, points",
+        [("increment", "11", 10, range(4)), ("long_halt", "", 325, (0, 1, 150, 324, 325))],
+    )
+    def test_off_by_one_code_is_caught(self, monkeypatch, name, input_str, bound, points):
+        m = _long_halt() if name == "long_halt" else zoo()[name]
+        assert isinstance(halting_probe(m, input_str, bound), HaltsInSteps)
+        for j in points:
+
+            def off_by_one(machine, run, first_code, j=j):
+                codes = _config_codes(machine, run, first_code)
+                codes[j] += 1
+                return codes
+
+            monkeypatch.setattr(tm, "_config_codes", off_by_one)
+            with pytest.raises(AssertionError, match="unverifiable chain"):
+                halting_probe(m, input_str, bound)
+            monkeypatch.undo()
+
+
+    def test_chain_must_start_at_the_initial_configuration(self, monkeypatch):
+        # ">0" under the head steps like the blank of the real start, so a
+        # chain from this wrong start verifies link by link
+        m = _long_halt()
+        start = init_config(m, "")
+        wrong = tm.Configuration(start.state, start.head, ">0")
+        assert step(m, wrong) == step(m, start)
+
+        def wrong_start(machine, run, first_code):
+            return [encode_config(machine, wrong)] + _config_codes(machine, run, first_code)[1:]
+
+        monkeypatch.setattr(tm, "_config_codes", wrong_start)
+        with pytest.raises(AssertionError, match="unverifiable chain"):
+            halting_probe(m, "", 400)
+
+
+class TestProbeWork:
+    """Deterministic work counts: the search decodes nothing, and the
+    re-check decodes each non-sink chain point once."""
+
+    def count_decodes(self, monkeypatch, m, input_str, bound):
+        codes = []
+        real = tm.decode_config
+
+        def counting(machine, code):
+            codes.append(code)
+            return real(machine, code)
+
+        monkeypatch.setattr(tm, "decode_config", counting)
+        return halting_probe(m, input_str, bound), codes
+
+    def test_negative_probe_decodes_nothing(self, monkeypatch):
+        result, codes = self.count_decodes(monkeypatch, zoo()["builder"], "", 1000)
+        assert isinstance(result, NoHaltWithinBound)
+        assert codes == []
+
+    @pytest.mark.parametrize("name, input_str", [("increment", "11"), ("long_halt", "")])
+    def test_positive_probe_decodes_each_chain_point_once(self, monkeypatch, name, input_str):
+        m = _long_halt() if name == "long_halt" else zoo()[name]
+        result, codes = self.count_decodes(monkeypatch, m, input_str, 1000)
+        assert isinstance(result, HaltsInSteps)
+        chain = result.witness.chain
+        assert chain[-1] == SINK
+        assert len(codes) == len(chain) - 1
+        assert sorted(codes) == sorted(unpack_point(x)[1] for x in chain[:-1])
+
+
+class TestLongHaltingMachine:
+    def test_out_of_zoo_and_long(self):
+        m = _long_halt()
+        assert m not in zoo().values()
+        assert halt_step(m, "", 5000) == 325
+        assert all(halt_step(z, "", 1000) in (None, *range(8)) for z in zoo().values())
+
+    @pytest.mark.parametrize("bound", [323, 324, 325, 326])
+    def test_probe_at_and_below_halting_step(self, bound):
+        m = _long_halt()
+        probe = halting_probe(m, "", bound)
+        scan = _scanning_probe_join(m, "", bound)
+        if bound >= 325:
+            assert isinstance(probe, HaltsInSteps) and probe.steps == 325
+            assert probe.witness == scan
+        else:
+            assert isinstance(probe, NoHaltWithinBound)
+            assert scan == NotWithinBounds(probe.explored)
+
+
+class TestStepBounds:
+    @pytest.mark.parametrize("fn", [trajectory, halt_step, halting_probe])
+    @pytest.mark.parametrize("bound", [-1, -3])
+    def test_negative_bound_rejected(self, fn, bound):
+        with pytest.raises(ValueError, match="non-negative"):
+            fn(zoo()["halt"], "", bound)
+
+    def test_zero_bound(self):
+        halt, builder = zoo()["halt"], zoo()["builder"]
+        assert len(trajectory(builder, "", 0)) == 1
+        assert halt_step(halt, "", 0) == 0 and halt_step(builder, "", 0) is None
+        res = halting_probe(halt, "", 0)
+        assert isinstance(res, HaltsInSteps) and res.steps == 0
+        res = halting_probe(builder, "", 0)
+        assert isinstance(res, NoHaltWithinBound) and res.chain_bound == 2
