@@ -49,10 +49,12 @@ def _load_automatic(path: str) -> am.AutomaticEq:
 # -- partition group ---------------------------------------------------------
 
 def cmd_partition(args) -> int:
-    if args.op in ("meet", "join", "leq"):
-        if len(args.inputs) != 2:
-            print(f"usage: equlat partition {args.op} LEFT RIGHT", file=sys.stderr)
-            return 2
+    binary = args.op in ("meet", "join", "leq")
+    if len(args.inputs) != (2 if binary else 1):
+        operands = "LEFT RIGHT" if binary else "FILE"
+        print(f"usage: equlat partition {args.op} {operands}", file=sys.stderr)
+        return 2
+    if binary:
         e = _load_partition(args.inputs[0])
         f = _load_partition(args.inputs[1])
         if args.op == "leq":

@@ -14,7 +14,10 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, mul, ne
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 
@@ -95,9 +98,11 @@ class Partition:
             raise InvalidUniverse("no classes given")
         n = max(seen) + 1
         if len(seen) != n:
-            missing = min(set(range(n)) - set(seen))
+            # The seen elements are distinct naturals, so one below len(seen)
+            # is missing: were all of them seen, n would equal len(seen).
+            missing = next(x for x in range(len(seen)) if x not in seen)
             raise InvalidPartition(f"element {missing} is not covered")
-        return cls._mk(tuple(seen[x] for x in range(n)))
+        return cls._mk(tuple(map(seen.__getitem__, range(n))))
 
     @classmethod
     def from_key(cls, n: int, key: Callable[[int], Hashable]) -> "Partition":
@@ -105,7 +110,7 @@ class Partition:
         if n < 1:
             raise InvalidUniverse(f"invalid universe size {n}")
         first: dict[Hashable, int] = {}
-        return cls._mk(tuple(first.setdefault(key(x), x) for x in range(n)))
+        return cls._mk(tuple(map(first.setdefault, map(key, range(n)), range(n))))
 
     @property
     def universe_size(self) -> int:
@@ -133,36 +138,22 @@ class Partition:
     def meet(self, other: "Partition") -> "Partition":
         """Greatest lower bound: classes are the non-empty pairwise intersections."""
         self._require_same_universe(other)
-        first: dict[tuple[int, int], int] = {}
-        out = []
-        for x, (a, b) in enumerate(zip(self.labels, other.labels)):
-            lab = first.setdefault((a, b), x)
-            out.append(lab)
-        return Partition._mk(tuple(out))
+        n = len(self.labels)
+        first: dict[int, int] = {}
+        return Partition._mk(
+            tuple(map(first.setdefault, _pair_keys(self.labels, other.labels), range(n)))
+        )
 
     def join(self, other: "Partition") -> "Partition":
-        """Least upper bound, computed by disjoint-set union of both relations."""
+        """Least upper bound: the connected classes of the coarser side."""
         self._require_same_universe(other)
-        n = len(self.labels)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for labels in (self.labels, other.labels):
-            for x in range(n):
-                rx, ry = find(x), find(labels[x])
-                if rx != ry:
-                    parent[rx] = ry
-        first: dict[int, int] = {}
-        out = []
-        for x in range(n):
-            lab = first.setdefault(find(x), x)
-            out.append(lab)
-        return Partition._mk(tuple(out))
+        a, b, classes = _coarser_first(self.labels, other.labels)
+        parent, _ = _merge_classes(a, b, classes)
+        # Parents precede their children, so in ascending order each
+        # parent already points at its root.
+        for c in sorted(classes):
+            parent[c] = parent[parent[c]]
+        return Partition._mk(tuple(map(parent.__getitem__, a)))
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """All classes, each sorted ascending, ordered by their labels."""
@@ -188,13 +179,18 @@ class Partition:
         return big[0]
 
     def is_complement(self, other: "Partition") -> bool:
-        """True iff the meet is bottom and the join is top."""
+        """True iff the meet is bottom and the join is top.
+
+        Builds neither: the meet is bottom iff no two elements share both
+        labels, and the join is top iff merging ends with one class.
+        """
         self._require_same_universe(other)
         n = len(self.labels)
-        return (
-            self.meet(other).labels == tuple(range(n))
-            and self.join(other).labels == (0,) * n
-        )
+        if len(set(_pair_keys(self.labels, other.labels))) != n:
+            return False
+        a, b, classes = _coarser_first(self.labels, other.labels)
+        _, merges = _merge_classes(a, b, classes)
+        return merges == len(classes) - 1
 
     def least_element_complement(self) -> "Partition":
         """The singular relation grouping the least element of every class.
@@ -214,11 +210,22 @@ class Partition:
         The join of the returned atoms as partitions reproduces ``self``;
         bottom decomposes into the empty list.
         """
-        n = len(self.labels)
-        out = []
-        for block in self.classes():
-            for x in block[1:]:
-                out.append(Atom(block[0], x, n))
+        labels = self.labels
+        n = len(labels)
+        # Every element that is not its class minimum, by class, then ascending.
+        members = list(compress(range(n), map(ne, labels, range(n))))
+        members.sort(key=labels.__getitem__)
+        # Trusted construction, as in Partition._mk: the range check of
+        # Atom.__post_init__ holds by construction, so the slots are filled
+        # directly, field by field (a deque of length 0 runs the map and
+        # keeps nothing).
+        out = list(map(object.__new__, repeat(Atom, len(members))))
+        for field, values in (
+            (Atom.a, map(labels.__getitem__, members)),
+            (Atom.b, members),
+            (Atom.universe_size, repeat(n)),
+        ):
+            deque(map(field.__set__, out, values), maxlen=0)
         return out
 
     def to_text(self) -> str:
@@ -247,6 +254,12 @@ class Partition:
 class Atom:
     """The equivalence whose only non-singleton class is {a, b}."""
 
+    # Slots let ``Partition.atoms`` fill fields through their descriptors.
+    # They are declared by hand: ``slots=True`` rebuilds the class, and its
+    # frozen __setattr__ then raises TypeError instead of FrozenInstanceError
+    # for names that are not fields (Python 3.10 and 3.11).  Copies and
+    # pickles of a frozen class with slots need the state methods below.
+    __slots__ = ("a", "b", "universe_size")
     a: int
     b: int
     universe_size: int
@@ -257,10 +270,65 @@ class Atom:
                 f"atom ({self.a}, {self.b}) out of range for universe {self.universe_size}"
             )
 
+    def __getstate__(self) -> tuple[int, int, int]:
+        return (self.a, self.b, self.universe_size)
+
+    def __setstate__(self, state: tuple[int, int, int]) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
     def as_partition(self) -> Partition:
         labels = list(range(self.universe_size))
         labels[self.b] = self.a
         return Partition._mk(tuple(labels))
+
+
+def _pair_keys(a: Sequence[int], b: Sequence[int]) -> Iterator[int]:
+    """One int per element, ``a[x]·n + b[x]``: equal iff both labels are."""
+    return map(add, map(mul, a, repeat(len(a))), b)
+
+
+def _coarser_first(
+    e: tuple[int, ...], f: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], set[int]]:
+    """The labeling with fewer classes first, the other second, then the
+    first one's class labels."""
+    ce, cf = set(e), set(f)
+    return (e, f, ce) if len(ce) <= len(cf) else (f, e, cf)
+
+
+def _merge_classes(
+    a: tuple[int, ...], b: tuple[int, ...], classes: set[int]
+) -> tuple[dict[int, int], int]:
+    """Union-find over the classes of ``a``: the class of x is merged with the
+    class of ``b[x]`` for every x, which joins ``a`` with ``b``.
+
+    Returns the forest, as each class label's parent, and the number of
+    merges made; merging stops once one class is left.  The larger root is
+    always linked under the smaller, so every parent is less than its child
+    and every root is the least label, and so the least element, of its
+    component.
+    """
+    parent = dict(zip(classes, classes))
+    merges = 0
+    last = len(classes) - 1
+    ab = list(map(a.__getitem__, b))
+    for u, v in set(compress(zip(a, ab), map(ne, a, ab))):
+        # Find both roots, halving the paths on the way; inline, because
+        # this loop is the whole cost of joining two fine partitions.
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u < v:
+                parent[v] = u
+            else:
+                parent[u] = v
+            merges += 1
+            if merges == last:
+                break
+    return parent, merges
 
 
 def singular_complement_valid(e: Partition, f: Partition) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import ne
 from typing import Callable
 
 from . import automatic as am
@@ -66,18 +67,19 @@ def chain_closure_join(e: Partition, f: Partition) -> Partition:
     return Partition(labels)
 
 
+_PAIR_AXIOMS = (
+    "meet idempotent",
+    "join idempotent",
+    "meet commutative",
+    "join commutative",
+    "absorption",
+    "order compatibility",
+)
+_TRIPLE_AXIOMS = ("meet associative", "join associative")
+
+
 def _pair_axiom_failures(pairs, meet_fn: MeetFn, join_fn: JoinFn) -> dict[str, int]:
-    fails = dict.fromkeys(
-        [
-            "meet idempotent",
-            "join idempotent",
-            "meet commutative",
-            "join commutative",
-            "absorption",
-            "order compatibility",
-        ],
-        0,
-    )
+    fails = dict.fromkeys(_PAIR_AXIOMS, 0)
     for e, f in pairs:
         me = meet_fn(e, f)
         je = join_fn(e, f)
@@ -98,13 +100,78 @@ def _pair_axiom_failures(pairs, meet_fn: MeetFn, join_fn: JoinFn) -> dict[str, i
 
 
 def _triple_assoc_failures(triples, meet_fn: MeetFn, join_fn: JoinFn) -> dict[str, int]:
-    fails = {"meet associative": 0, "join associative": 0}
+    fails = dict.fromkeys(_TRIPLE_AXIOMS, 0)
     for e, f, g in triples:
         if meet_fn(meet_fn(e, f), g) != meet_fn(e, meet_fn(f, g)):
             fails["meet associative"] += 1
         if join_fn(join_fn(e, f), g) != join_fn(e, join_fn(f, g)):
             fails["join associative"] += 1
     return fails
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key with ``fill(key)`` and keeps it."""
+
+    def __init__(self, fill, items=()):
+        super().__init__(items)
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _exhaustive_failures(
+    n: int, meet_fn: MeetFn, join_fn: JoinFn
+) -> tuple[dict[str, int], int, int]:
+    """Every lattice axiom over all pairs and triples of partitions of
+    {0..n-1}, counted as ``_pair_axiom_failures`` and
+    ``_triple_assoc_failures`` count them, plus the number of pairs whose
+    join differs from ``chain_closure_join``, and the number of pairs.
+
+    The operations are tabulated by index: ``meet[i][j]`` is the index of
+    ``meet_fn(parts[i], parts[j])``.  Each cell is computed on first read,
+    so each ordered pair costs one call.  A result outside the enumeration,
+    which only a broken operation returns, is appended to ``parts`` when it
+    is first seen; its row and column are filled as they are read.
+    """
+    parts = list(all_partitions(n))
+    grid = range(len(parts))
+
+    def intern(p: Partition) -> int:
+        parts.append(p)
+        return len(parts) - 1
+
+    index = _Lazy(intern, zip(parts, grid))
+
+    def tabulate(op):
+        return _Lazy(lambda i: _Lazy(lambda j: index[op(parts[i], parts[j])]))
+
+    meet, join = tabulate(meet_fn), tabulate(join_fn)
+    fails = dict.fromkeys(_PAIR_AXIOMS + _TRIPLE_AXIOMS, 0)
+    chain_bad = 0
+    for e in grid:
+        me, je = meet[e], join[e]
+        for f in grid:
+            mef, jef = me[f], je[f]
+            fails["meet idempotent"] += me[e] != e
+            fails["join idempotent"] += je[e] != e
+            fails["meet commutative"] += mef != meet[f][e]
+            fails["join commutative"] += jef != join[f][e]
+            fails["absorption"] += me[jef] != e or je[mef] != e
+            low = parts[e].leq(parts[f])
+            fails["order compatibility"] += low != (mef == e) or low != (jef == f)
+            # (e op f) op g against e op (f op g), for every g at once.
+            for name, table, row in (("meet", meet, me), ("join", join, je)):
+                fails[f"{name} associative"] += sum(
+                    map(
+                        ne,
+                        map(table[row[f]].__getitem__, grid),
+                        map(row.__getitem__, map(table[f].__getitem__, grid)),
+                    )
+                )
+            chain_bad += parts[jef] != chain_closure_join(parts[e], parts[f])
+    return fails, chain_bad, len(grid) ** 2
 
 
 def lattice_checks(
@@ -115,22 +182,19 @@ def lattice_checks(
     max_exhaustive_n: int = 5,
 ) -> list[CheckResult]:
     out = []
-    fails: dict[str, int] = {}
+    fails = dict.fromkeys(_PAIR_AXIOMS + _TRIPLE_AXIOMS, 0)
 
     def tally(extra: dict[str, int]) -> None:
         for key, count in extra.items():
-            fails[key] = fails.get(key, 0) + count
+            fails[key] += count
 
+    bad = 0
+    total = 0
     for n in range(1, max_exhaustive_n + 1):
-        parts = list(all_partitions(n))
-        tally(_pair_axiom_failures(((e, f) for e in parts for f in parts), meet_fn, join_fn))
-        tally(
-            _triple_assoc_failures(
-                ((e, f, g) for e in parts for f in parts for g in parts),
-                meet_fn,
-                join_fn,
-            )
-        )
+        axioms, chain_bad, pairs = _exhaustive_failures(n, meet_fn, join_fn)
+        tally(axioms)
+        bad += chain_bad
+        total += pairs
     rng = random.Random(rng_seed)
     sample = [
         (random_partition(10, rng), random_partition(10, rng))
@@ -151,16 +215,6 @@ def lattice_checks(
                 + ("" if count == 0 else f"; {count} violations"),
             )
         )
-
-    bad = 0
-    total = 0
-    for n in range(1, max_exhaustive_n + 1):
-        parts = list(all_partitions(n))
-        for e in parts:
-            for f in parts:
-                total += 1
-                if join_fn(e, f) != chain_closure_join(e, f):
-                    bad += 1
     out.append(
         CheckResult(
             "join equals alternating-chain closure",

@@ -58,6 +58,22 @@ class TestPartitionCommands:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("op", ["complement", "atoms"])
+    def test_unary_ops_take_one_file(self, capsys, parts, op):
+        e, f = parts
+        code, out, err = run(capsys, "partition", op, str(e), str(f))
+        assert code == 2
+        assert out == ""
+        assert f"usage: equlat partition {op} FILE" in err
+
+    @pytest.mark.parametrize("op", ["meet", "join", "leq"])
+    def test_binary_ops_take_two_files(self, capsys, parts, op):
+        e, _ = parts
+        code, out, err = run(capsys, "partition", op, str(e))
+        assert code == 2
+        assert out == ""
+        assert f"usage: equlat partition {op} LEFT RIGHT" in err
+
     def test_atoms(self, capsys, parts):
         e, _ = parts
         code, out, _ = run(capsys, "partition", "atoms", str(e))

@@ -1,3 +1,10 @@
+import copy
+import pickle
+import random
+import tracemalloc
+from collections import deque
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,6 +78,22 @@ class TestConstructors:
     def test_from_classes_rejects_gap(self):
         with pytest.raises(InvalidPartition):
             Partition.from_classes([{0}, {2}])
+
+    def test_gap_named_without_materializing_the_range(self):
+        # The first uncovered element is found by scanning below the number
+        # of elements seen, not by building every number up to the largest.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidPartition, match="element 1 is not covered"):
+                Partition.from_text("class: 0 1000000000000\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_gap_is_the_least_uncovered_element(self):
+        with pytest.raises(InvalidPartition, match="element 2 is not covered"):
+            Partition.from_classes([{0, 5}, {1, 3}, {4}, {7, 6}])
 
     def test_from_classes_rejects_empty_class(self):
         with pytest.raises(InvalidPartition):
@@ -234,6 +257,32 @@ class TestAtoms:
             Atom(2, 1, 4)
         with pytest.raises(InvalidPartition):
             Atom(0, 4, 4)
+        with pytest.raises(InvalidPartition):
+            Atom(-1, 0, 3)
+
+    def test_atom_rejects_assignment(self):
+        atom = Partition.top(3).atoms()[0]
+        with pytest.raises(FrozenInstanceError):
+            atom.a = 1
+        with pytest.raises(FrozenInstanceError):
+            atom.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            del atom.b
+        assert (atom.a, atom.b, atom.universe_size) == (0, 1, 3)
+
+    def test_atom_copies_and_pickles(self):
+        atom = Partition.top(3).atoms()[1]
+        assert copy.copy(atom) == copy.deepcopy(atom) == atom
+        assert pickle.loads(pickle.dumps(atom)) == atom == Atom(0, 2, 3)
+
+    def test_atom_is_not_a_tuple(self):
+        for atom in (Atom(0, 1, 3), Partition.top(3).atoms()[0]):
+            assert atom != (0, 1, 3)
+            assert (0, 1, 3) != atom
+            assert atom == Atom(0, 1, 3)
+            assert hash(atom) == hash(Atom(0, 1, 3))
+            assert repr(atom) == "Atom(a=0, b=1, universe_size=3)"
+            assert atom.as_partition() == Partition.from_classes([{0, 1}, {2}])
 
     @given(partitions())
     def test_recomposition(self, e):
@@ -274,3 +323,135 @@ class TestTextFormat:
     def test_non_numeric_elements(self):
         with pytest.raises(ValueError, match="line 1"):
             Partition.from_text("class: zero\n")
+
+
+# -- the kernels against element-level oracles ---------------------------------
+
+
+def _canonical(keys):
+    first = {}
+    return tuple(first.setdefault(k, x) for x, k in enumerate(keys))
+
+
+def _pair_meet(e, f):
+    """Label-pair counting: x ~ y iff both labels agree."""
+    return _canonical(zip(e.labels, f.labels))
+
+
+def _bfs_join(e, f):
+    """Components of the bipartite graph on the classes of e and of f, with
+    one edge per element, found breadth first."""
+    n = e.universe_size
+    adj = {}
+    for a, b in set(zip(e.labels, f.labels)):
+        adj.setdefault(a, []).append(n + b)
+        adj.setdefault(n + b, []).append(a)
+    comp = {}
+    for root in adj:
+        if root in comp:
+            continue
+        comp[root] = root
+        queue = deque([root])
+        while queue:
+            for nxt in adj[queue.popleft()]:
+                if nxt not in comp:
+                    comp[nxt] = root
+                    queue.append(nxt)
+    return _canonical(comp[a] for a in e.labels)
+
+
+def _element_union_find_join(e, f):
+    """Disjoint-set union over the elements, each linked to its label in
+    both relations."""
+    n = e.universe_size
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for labels in (e.labels, f.labels):
+        for x in range(n):
+            rx, ry = find(x), find(labels[x])
+            if rx != ry:
+                parent[rx] = ry
+    return _canonical(find(x) for x in range(n))
+
+
+def _class_minimum_atoms(e):
+    n = e.universe_size
+    return [Atom(block[0], x, n) for block in e.classes() for x in block[1:]]
+
+
+def _random_labels(rng, n, classes):
+    return Partition(_canonical(rng.choices(range(classes), k=n)))
+
+
+def _shapes(n, seed):
+    """The bounds, then seeded partitions from a few classes to nearly n."""
+    rng = random.Random(seed)
+    shapes = [Partition.top(n), Partition.bottom(n)]
+    for classes in sorted({2, 3, round(n**0.5), n // 2, n - 1} - {0, 1}):
+        shapes.append(_random_labels(rng, n, classes))
+    return shapes
+
+
+def _check_pair(e, f):
+    n = e.universe_size
+    joined = _bfs_join(e, f)
+    assert e.meet(f).labels == _pair_meet(e, f)
+    assert e.join(f).labels == joined == _element_union_find_join(e, f)
+    assert e.is_complement(f) == (
+        len(set(zip(e.labels, f.labels))) == n and joined == (0,) * n
+    )
+
+
+class TestKernelDifferential:
+    def test_all_shape_pairs_small(self):
+        for n in (1, 2, 3, 5, 10, 64, 1000):
+            shapes = _shapes(n, seed=n)
+            for e in shapes:
+                for f in shapes:
+                    _check_pair(e, f)
+
+    def test_large_shapes(self):
+        n = 100_000
+        top, bottom, few, _, root, _, fine = _shapes(n, seed=7)
+        # coarse x fine in both argument orders: join walks the coarser side
+        for e, f in [(top, bottom), (few, fine), (fine, few), (root, fine), (fine, fine)]:
+            _check_pair(e, f)
+
+    def test_complements_fail_where_expected(self):
+        rng = random.Random(3)
+        for n in (4, 10, 1000, 100_000):
+            e = _random_labels(rng, n, max(2, round(n**0.5)))
+            assert e not in (Partition.top(n), Partition.bottom(n))
+            bottom, top = Partition.bottom(n).labels, Partition.top(n).labels
+            cases = [
+                (e.least_element_complement(), True, True),  # fails through neither
+                (Partition.top(n), False, True),  # through the meet only
+                (Partition.bottom(n), True, False),  # through the join only
+            ]
+            for f, meet_bottom, join_top in cases:
+                assert (_pair_meet(e, f) == bottom) == meet_bottom
+                assert (_bfs_join(e, f) == top) == join_top
+                assert e.is_complement(f) == f.is_complement(e) == (meet_bottom and join_top)
+
+    def test_atoms_are_class_minimum_atoms(self):
+        for n in (1, 2, 3, 10, 1000, 100_000):
+            for e in _shapes(n, seed=n + 1)[::2]:
+                atoms = e.atoms()
+                expected = _class_minimum_atoms(e)
+                assert atoms == expected
+                assert [(a.a, a.b, a.universe_size) for a in atoms] == [
+                    (a.a, a.b, a.universe_size) for a in expected
+                ]
+
+    def test_from_key_is_the_kernel(self):
+        keys = (lambda x: x % 7, lambda x: x // 3, lambda x: 0, str, int.bit_length)
+        for n in (1, 2, 10, 1000, 100_000):
+            for key in keys:
+                labels = Partition.from_key(n, key).labels
+                assert labels == _canonical(key(x) for x in range(n))
