@@ -330,8 +330,8 @@ def demo_family_meet(args) -> int:
     if args.k >= len(cuts):
         print(f"--k must be below the number of cuts ({len(cuts)})", file=sys.stderr)
         return 2
-    print(f"meet of the singular family for predicate {pname!r}, cuts {cuts}, up to k={args.k}:")
     result = cs.truncated_family_meet(spec, args.k)
+    print(f"meet of the singular family for predicate {pname!r}, cuts {cuts}, up to k={args.k}:")
     sys.stdout.write(result.to_text())
     expected = cs.closed_form_meet(spec, args.k)
     ok = result == expected
@@ -345,8 +345,8 @@ def demo_family_meet(args) -> int:
 def demo_nonhalt_meet(args) -> int:
     machines = list(tmlab.zoo().values())
     names = list(tmlab.zoo().keys())
-    print(f"meets of 'still running after n steps' relations, n = 1..{args.k}, over the zoo:")
     part = tmlab.nonhalt_family_meet(args.k, machines)
+    print(f"meets of 'still running after n steps' relations, n = 1..{args.k}, over the zoo:")
     blocks = [c for c in part.classes() if len(c) >= 2]
     big = set(blocks[0]) if blocks else set()
     print("grouped machines:", " ".join(names[i] for i in sorted(big)) or "(none)")

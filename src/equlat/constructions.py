@@ -48,6 +48,8 @@ def truncated_family_meet(spec: SingularFamilySpec, k: int) -> SmallEq:
     """Meet of the family members 0..k; exactly the small singular relation
     whose big class is (predicate-members below cut k) plus that cut's
     upper set."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     acc = family_member(spec, 0)
     for i in range(1, k + 1):
         acc = acc.meet(family_member(spec, i))

@@ -122,6 +122,8 @@ def _axiom_violation(fn, bound: int) -> str | None:
 
 def is_equivalence_sampled(d: DeciderEq, bound: int) -> bool:
     """Exhaustive axiom check over {0..bound-1}; a sample, not a proof."""
+    if bound < 1:
+        raise ValueError(f"sample bound must be at least 1, got {bound}")
     return _axiom_violation(d._fn, bound) is None
 
 
@@ -176,8 +178,18 @@ def least_element_complement(d: DeciderEq) -> DeciderEq:
     Decision: accept equal numbers outright; reject a number if anything
     smaller is d-related to it (it is then not least in its class); accept
     otherwise.  The scans over all smaller numbers make this linear-space and
-    exponential-time in the input length.
+    exponential-time in the input length.  The complement of a keyed ``d``
+    is keyed (least elements share one key, the rest are singletons), so
+    ``restrict`` and ``bounded_join`` group by key; a black-box ``d`` gives
+    a black box.
     """
+    cost_note = (
+        f"least-element complement of ({d.cost_note}); "
+        "scans all smaller values: linear space, exponential time"
+    )
+    if d.key is not None:
+        key = d.key
+        return singular_from_predicate(lambda x: key(x) not in map(key, range(x)), cost_note)
 
     def decide(m: int, n: int) -> bool:
         if m == n:
@@ -188,11 +200,7 @@ def least_element_complement(d: DeciderEq) -> DeciderEq:
             return False
         return True
 
-    return DeciderEq(
-        decide,
-        cost_note=f"least-element complement of ({d.cost_note}); "
-        "scans all smaller values: linear space, exponential time",
-    )
+    return DeciderEq(decide, cost_note=cost_note)
 
 
 @dataclass(frozen=True)

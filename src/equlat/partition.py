@@ -497,18 +497,21 @@ class SmallEq:
                 raise ValueError("threshold 0 admits no class lines")
             return cls(0, (), tail)
         blocks = _parse_class_lines(body, body_start)
-        labels = [-1] * threshold
+        # A dict of the elements seen, so memory follows the text, not the
+        # threshold header: distinct elements in range cover the threshold
+        # iff there are threshold of them.
+        seen: dict[int, int] = {}
         for block in blocks:
             block = sorted(block)
             for x in block:
-                if x >= threshold or labels[x] != -1:
+                if not 0 <= x < threshold or x in seen:
                     raise InvalidPartition(f"element {x} misplaced below threshold")
-                labels[x] = block[0]
-        if any(l == -1 for l in labels):
+                seen[x] = block[0]
+        if len(seen) != threshold:
             raise InvalidPartition("classes do not cover {0..threshold-1}")
-        if tail != threshold and (tail >= threshold or labels[tail] != tail):
+        if tail != threshold and not (0 <= tail < threshold and seen[tail] == tail):
             raise ValueError(f"tail label {tail} does not name a class")
-        return cls(threshold, labels, tail)
+        return cls(threshold, map(seen.__getitem__, range(threshold)), tail)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -597,12 +597,14 @@ def nonhalt_family_meet(k: int, machines: Sequence[TmSpec]) -> Partition:
 
     A machine still running after k steps is still running after every
     n <= k, so the meet over levels 1..k is the kernel of level k alone.
+    Machines are simulated as given, not through their codes: a machine
+    decodes from its code to itself, and two machines share a code exactly
+    when they share a canonical text, which keys the halted ones.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    codes = [encode_tm(m) for m in machines]
-    key = nonhalt_eq(k).key
-    return Partition.from_key(len(codes), lambda i: key(codes[i]))
+    keys = ["run" if halt_step(m, "", k) is None else tm_to_text(m) for m in machines]
+    return Partition.from_key(len(keys), keys.__getitem__)
 
 
 @lru_cache(maxsize=1)

@@ -299,3 +299,34 @@ class TestExitContract:
         assert code == 0 and "halts in 0 steps" in out
         code, out, _ = run(capsys, "tm", "probe", "builder", "", "--bound", "0")
         assert code == 0 and "no halt within 0 steps" in out
+
+    @pytest.mark.parametrize("bound", ["0", "-4"])
+    def test_empty_sample_bound(self, capsys, bound):
+        code, out, err = run(capsys, "decider", "check", "parity", "--bound", bound)
+        assert code == 2
+        assert err.startswith("error: ") and "at least 1" in err
+        assert out == ""
+
+    def test_sample_bound_one(self, capsys):
+        code, out, _ = run(capsys, "decider", "check", "parity", "--bound", "1")
+        assert code == 0 and "[PASS] equivalence axioms on {0..0}" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("demo", "family-meet", "--k", "-1"),
+            ("family", "meet", "--pred", "even", "--cuts", "2,4,8", "--k", "-1"),
+        ],
+    )
+    def test_negative_family_index(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "non-negative" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonhalt_meet_level_validated_first(self, capsys, k):
+        code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", k)
+        assert code == 2
+        assert err == "error: k must be at least 1\n"
+        assert out == ""

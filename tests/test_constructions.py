@@ -59,6 +59,15 @@ class TestTruncatedMeet:
     def test_single_member(self):
         assert truncated_family_meet(EVEN_SPEC, 0) == family_member(EVEN_SPEC, 0)
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_index_rejected(self, k):
+        with pytest.raises(ValueError, match="non-negative"):
+            truncated_family_meet(EVEN_SPEC, k)
+
+    def test_index_past_the_cuts(self):
+        with pytest.raises(IndexError):
+            truncated_family_meet(EVEN_SPEC, 3)
+
     def test_even_family_k2(self):
         got = truncated_family_meet(EVEN_SPEC, 2)
         assert got.threshold == 8

@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from equlat.automatic import corpus
+from equlat.cli import parse_decider_expr
 from equlat.constructions import BUILTIN_PREDICATES
 from equlat.decider import (
     DeciderEq,
@@ -21,6 +23,7 @@ from equlat.decider import (
     verify_chain,
 )
 from equlat.partition import Partition, SmallEq, random_partition
+from equlat.tm import zoo
 
 
 def _stripped(d: DeciderEq) -> DeciderEq:
@@ -193,9 +196,11 @@ class TestKeyed:
     def test_which_relations_carry_keys(self):
         for name, d in _keyed_builtins().items():
             assert d.key is not None, name
-        black = least_element_complement(parity_decider())
+        assert least_element_complement(parity_decider()).key is not None
+        thirds = DeciderEq(lambda m, n: m % 3 == n % 3)
+        assert thirds.key is None
+        black = least_element_complement(thirds)
         assert black.key is None
-        assert DeciderEq(lambda m, n: m % 3 == n % 3).key is None
         assert meet_combinator(parity_decider(), black).key is None
 
     def test_from_key_decides_the_kernel(self):
@@ -314,6 +319,98 @@ class TestKeyedJoinMatchesScan:
             m, n = rng.randrange(u), rng.randrange(u)
             results = _join_variants(d1, d2, m, n, u, rng.randrange(1, 6))
             assert all(r == results[0] for r in results)
+
+
+def _closure_complement(d: DeciderEq) -> DeciderEq:
+    """The least-element complement as the closure that a keyed relation's
+    complement replaced, kept as the oracle: a black box that scans every
+    smaller value for a d-related one.  The scan is memoized per value; it
+    is a pure function of it."""
+
+    @lru_cache(maxsize=None)
+    def not_least(x: int) -> bool:
+        return any(d.decide(k, x) for k in range(x))
+
+    def decide(m: int, n: int) -> bool:
+        if m == n:
+            return True
+        if not_least(m):
+            return False
+        if not_least(n):
+            return False
+        return True
+
+    return DeciderEq(decide, check_bound=0)
+
+
+def _cli_keyed_builtins() -> dict[str, DeciderEq]:
+    """Every keyed relation the command-line grammar names, with a few
+    nestings; the TM closures over the whole zoo."""
+    exprs = ["bottom", "top", "parity", "nonhalt(1)", "nonhalt(7)"]
+    exprs += [f"singular({name})" for name in BUILTIN_PREDICATES]
+    exprs += [f"{op}({name})" for name in zoo() for op in ("approx_even", "approx_odd")]
+    exprs += ["meet(parity, singular(prime))", "meet(complement(parity), singular(odd))"]
+    out = {expr: parse_decider_expr(expr) for expr in exprs}
+    rng = random.Random(31)
+    for i in range(6):
+        out[f"from_partition#{i}"] = from_partition(random_partition(rng.randrange(1, 40), rng))
+    return out
+
+
+class TestKeyedComplementMatchesClosure:
+    """The keyed complement of a keyed relation is the old closure: the same
+    restrictions, decisions, join chains and cost note."""
+
+    def test_keyed_in_keyed_out(self):
+        for name, d in _cli_keyed_builtins().items():
+            assert d.key is not None, name
+            c = least_element_complement(d)
+            assert c.key is not None, name
+            assert c.cost_note == (
+                f"least-element complement of ({d.cost_note}); "
+                "scans all smaller values: linear space, exponential time"
+            )
+
+    def test_restrict_and_decide(self):
+        for name, d in _cli_keyed_builtins().items():
+            keyed, closure = least_element_complement(d), _closure_complement(d)
+            for n in (1, 2, 9, 64, 256):
+                assert keyed.restrict(n) == closure.restrict(n), (name, n)
+            assert all(
+                keyed.decide(m, n) == closure.decide(m, n)
+                for m in range(64)
+                for n in range(64)
+            ), name
+
+    def test_complement_of_a_complement(self):
+        # The oracle's scans call the inner complement's key, itself a scan,
+        # so this stays below n = 256.
+        for expr in ("complement(parity)", "complement(meet(parity, singular(prime)))"):
+            d = parse_decider_expr(expr)
+            keyed, closure = least_element_complement(d), _closure_complement(d)
+            assert keyed.key is not None
+            for n in (1, 2, 9, 64):
+                assert keyed.restrict(n) == closure.restrict(n), (expr, n)
+
+    def test_bounded_join_equals_stripped_search(self):
+        rng = random.Random(32)
+        relations = list(_cli_keyed_builtins().values())
+        for _ in range(80):
+            d = least_element_complement(rng.choice(relations))
+            other = rng.choice(relations)
+            if rng.random() < 0.3:
+                other = least_element_complement(other)
+            u = rng.randrange(2, 80)
+            args = (rng.randrange(u), rng.randrange(u), u, rng.randrange(1, 6))
+            results = _join_variants(d, other, *args)
+            assert all(r == results[0] for r in results), results
+        # And against the closure itself, as a black box on both sides.
+        for d in relations:
+            keyed, closure = least_element_complement(d), _closure_complement(d)
+            for m, n in ((0, 37), (3, 60), (5, 5), (12, 50)):
+                assert bounded_join(keyed, parity_decider(), m, n, 64, 4) == bounded_join(
+                    closure, _stripped(parity_decider()), m, n, 64, 4
+                )
 
 
 class TestVerifyChain:

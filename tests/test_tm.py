@@ -13,6 +13,7 @@ from equlat.tm import (
     HaltsInSteps,
     MachineError,
     NoHaltWithinBound,
+    TmSpec,
     approx_even,
     approx_odd,
     cantor_pair,
@@ -450,6 +451,87 @@ class TestNonHalting:
 
     def test_small_numbers_are_not_machines(self):
         assert all(decode_tm(x) is None for x in range(64))
+
+
+def random_tm(rng: random.Random) -> TmSpec:
+    """A seeded random small machine: one to four states, some of them
+    halting, a blank and zero to two more tape symbols, and a total table
+    whose endmarker rules keep the endmarker and never move left."""
+    names = rng.sample(["s", "q1", "q_2", "z9", "run", "h"], rng.randint(1, 4))
+    halting = frozenset(q for q in names[1:] if rng.random() < 0.4)
+    symbols = rng.sample("_01xb#*+-.", rng.randint(1, 3))
+    rules = {}
+    for q in names:
+        if q in halting:
+            continue
+        for a in symbols:
+            rules[q, a] = (rng.choice(names), rng.choice(symbols), rng.choice(tm.MOVES))
+        rules[q, tm.ENDMARKER] = (rng.choice(names), tm.ENDMARKER, rng.choice("RS"))
+    return TmSpec(tuple(names), symbols[0], names[0], halting, rules)
+
+
+def _random_machines(seed: int, count: int) -> list[TmSpec]:
+    rng = random.Random(seed)
+    return [random_tm(rng) for _ in range(count)]
+
+
+class TestRandomMachines:
+    def test_generator_respects_the_endmarker(self):
+        for m in _random_machines(50, 300):
+            for (q, a), (_, b, mv) in m.rules.items():
+                if a == tm.ENDMARKER:
+                    assert b == tm.ENDMARKER and mv != "L"
+            # The head never leaves the tape and the endmarker never moves.
+            for c in trajectory(m, "", 60):
+                assert c.tape[0] == tm.ENDMARKER and 0 <= c.head < len(c.tape)
+
+    def test_generator_is_seeded_and_varied(self):
+        assert _random_machines(51, 40) == _random_machines(51, 40)
+        machines = _random_machines(51, 200)
+        verdicts = {halt_step(m, "", 60) is None for m in machines}
+        assert verdicts == {True, False}
+        assert len({tm_to_text(m) for m in machines}) > 150
+
+    def test_coding_round_trips(self):
+        for m in _random_machines(52, 300):
+            assert tm_from_text(tm_to_text(m)) == m
+            assert decode_tm(encode_tm(m)) == m
+
+    def test_probe_agrees_with_simulation(self):
+        for m in _random_machines(53, 60):
+            symbols = [a for a in m.alphabet if a != tm.ENDMARKER]
+            for inp in ("", symbols[-1] * 2):
+                result = halting_probe(m, inp, 40)
+                direct = halt_step(m, inp, 40)
+                if direct is None:
+                    assert isinstance(result, NoHaltWithinBound)
+                else:
+                    assert isinstance(result, HaltsInSteps) and result.steps == direct
+
+
+def _fold_of_levels(machines, k_max):
+    """Yield (k, meet of nonhalt_eq(1..k) on the machines' codes) for
+    k = 1..k_max: the explicit fold, one level at a time."""
+    codes = [encode_tm(m) for m in machines]
+    fold = None
+    for n in range(1, k_max + 1):
+        key = nonhalt_eq(n).key
+        level = Partition.from_key(len(codes), lambda i: key(codes[i]))
+        fold = level if fold is None else fold.meet(level)
+        yield n, fold
+
+
+class TestNonHaltingMeetMatchesFold:
+    def test_zoo_and_random_machines_to_k_250(self):
+        machines = list(zoo().values()) + _random_machines(54, 12)
+        # Repeats: equal machines, one of them built afresh from its text.
+        machines += [machines[3], machines[-1], tm_from_text(tm_to_text(machines[14]))]
+        for k, fold in _fold_of_levels(machines, 250):
+            part = nonhalt_family_meet(k, machines)
+            assert part == fold, k
+            assert part.related(3, len(machines) - 3)
+            assert part.related(len(machines) - 4, len(machines) - 2)
+            assert part.related(14, len(machines) - 1)
 
 
 def _long_halt():
