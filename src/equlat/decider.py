@@ -175,32 +175,19 @@ def least_element_complement(d: DeciderEq) -> DeciderEq:
     """The singular relation grouping the least element of every class of
     ``d``; always a complement of ``d``.
 
-    Decision: accept equal numbers outright; reject a number if anything
-    smaller is d-related to it (it is then not least in its class); accept
-    otherwise.  The scans over all smaller numbers make this linear-space and
-    exponential-time in the input length.  The complement of a keyed ``d``
-    is keyed (least elements share one key, the rest are singletons), so
-    ``restrict`` and ``bounded_join`` group by key; a black-box ``d`` gives
-    a black box.
+    m ~ n iff m == n or neither has a smaller d-related number (both are
+    least in their classes).  The scans over all smaller numbers make this
+    linear-space and exponential-time in the input length.  The result is
+    keyed for every ``d`` (least elements share one key, the rest are
+    singletons), so ``restrict`` and ``bounded_join`` group by key.
     """
     cost_note = (
         f"least-element complement of ({d.cost_note}); "
         "scans all smaller values: linear space, exponential time"
     )
-    if d.key is not None:
-        key = d.key
-        return singular_from_predicate(lambda x: key(x) not in map(key, range(x)), cost_note)
-
-    def decide(m: int, n: int) -> bool:
-        if m == n:
-            return True
-        if any(d._fn(k, m) for k in range(m)):
-            return False
-        if any(d._fn(k, n) for k in range(n)):
-            return False
-        return True
-
-    return DeciderEq(decide, cost_note=cost_note)
+    return singular_from_predicate(
+        lambda x: not any(d._fn(k, x) for k in range(x)), cost_note
+    )
 
 
 @dataclass(frozen=True)

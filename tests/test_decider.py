@@ -199,9 +199,11 @@ class TestKeyed:
         assert least_element_complement(parity_decider()).key is not None
         thirds = DeciderEq(lambda m, n: m % 3 == n % 3)
         assert thirds.key is None
-        black = least_element_complement(thirds)
-        assert black.key is None
-        assert meet_combinator(parity_decider(), black).key is None
+        # The complement of a black box is keyed too, and so is its meet.
+        complement = least_element_complement(thirds)
+        assert complement.key is not None
+        assert meet_combinator(parity_decider(), complement).key is not None
+        assert meet_combinator(thirds, complement).key is None
 
     def test_from_key_decides_the_kernel(self):
         d = DeciderEq.from_key(lambda x: x // 3, cost_note="thirds")
@@ -322,7 +324,7 @@ class TestKeyedJoinMatchesScan:
 
 
 def _closure_complement(d: DeciderEq) -> DeciderEq:
-    """The least-element complement as the closure that a keyed relation's
+    """The least-element complement as the closure that the keyed
     complement replaced, kept as the oracle: a black box that scans every
     smaller value for a d-related one.  The scan is memoized per value; it
     is a pure function of it."""
@@ -357,13 +359,23 @@ def _cli_keyed_builtins() -> dict[str, DeciderEq]:
     return out
 
 
-class TestKeyedComplementMatchesClosure:
-    """The keyed complement of a keyed relation is the old closure: the same
-    restrictions, decisions, join chains and cost note."""
+def _complement_inputs() -> dict[str, DeciderEq]:
+    """The keyed built-ins plus black boxes: a user procedure and two
+    key-stripped built-ins."""
+    return {
+        **_cli_keyed_builtins(),
+        "thirds (black box)": DeciderEq(lambda m, n: m % 3 == n % 3, "thirds"),
+        "parity (stripped)": _stripped(parity_decider()),
+        "singular(prime) (stripped)": _stripped(parse_decider_expr("singular(prime)")),
+    }
 
-    def test_keyed_in_keyed_out(self):
-        for name, d in _cli_keyed_builtins().items():
-            assert d.key is not None, name
+
+class TestKeyedComplementMatchesClosure:
+    """The complement, keyed whatever its input, is the old closure: the
+    same restrictions, decisions, join chains and cost note."""
+
+    def test_keyed_out(self):
+        for name, d in _complement_inputs().items():
             c = least_element_complement(d)
             assert c.key is not None, name
             assert c.cost_note == (
@@ -372,7 +384,7 @@ class TestKeyedComplementMatchesClosure:
             )
 
     def test_restrict_and_decide(self):
-        for name, d in _cli_keyed_builtins().items():
+        for name, d in _complement_inputs().items():
             keyed, closure = least_element_complement(d), _closure_complement(d)
             for n in (1, 2, 9, 64, 256):
                 assert keyed.restrict(n) == closure.restrict(n), (name, n)
@@ -394,7 +406,7 @@ class TestKeyedComplementMatchesClosure:
 
     def test_bounded_join_equals_stripped_search(self):
         rng = random.Random(32)
-        relations = list(_cli_keyed_builtins().values())
+        relations = list(_complement_inputs().values())
         for _ in range(80):
             d = least_element_complement(rng.choice(relations))
             other = rng.choice(relations)

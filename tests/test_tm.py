@@ -396,6 +396,28 @@ class TestHaltingProbe:
                 assert direct is None, name
 
 
+def random_tm(rng: random.Random) -> TmSpec:
+    """A seeded random small machine: one to four states, some of them
+    halting, a blank and zero to two more tape symbols, and a total table
+    whose endmarker rules keep the endmarker and never move left."""
+    names = rng.sample(["s", "q1", "q_2", "z9", "run", "h"], rng.randint(1, 4))
+    halting = frozenset(q for q in names[1:] if rng.random() < 0.4)
+    symbols = rng.sample("_01xb#*+-.", rng.randint(1, 3))
+    rules = {}
+    for q in names:
+        if q in halting:
+            continue
+        for a in symbols:
+            rules[q, a] = (rng.choice(names), rng.choice(symbols), rng.choice(tm.MOVES))
+        rules[q, tm.ENDMARKER] = (rng.choice(names), tm.ENDMARKER, rng.choice("RS"))
+    return TmSpec(tuple(names), symbols[0], names[0], halting, rules)
+
+
+def _random_machines(seed: int, count: int) -> list[TmSpec]:
+    rng = random.Random(seed)
+    return [random_tm(rng) for _ in range(count)]
+
+
 class TestNonHalting:
     def test_immediate_halt_machine_is_singleton(self):
         d = nonhalt_eq(1)
@@ -431,48 +453,30 @@ class TestNonHalting:
             prev = big
 
     def test_family_meet_is_fold_of_levels(self):
-        # oracle: the explicit meet over every level 1..k
-        machines = list(zoo().values())
-        machines.append(machines[3])  # a repeated machine shares its class
+        # oracle: the explicit meet over every level 1..k, on the codes
+        machines = list(zoo().values()) + _random_machines(54, 12)
+        # Repeated machines share their class, one of them built afresh
+        # from its text.
+        machines += [machines[3], machines[-1], tm_from_text(tm_to_text(machines[14]))]
         codes = [encode_tm(m) for m in machines]
-        for k in range(1, 41):
-            fold = None
-            for n in range(1, k + 1):
-                key = nonhalt_eq(n).key
-                level = Partition.from_key(len(codes), lambda i: key(codes[i]))
-                fold = level if fold is None else fold.meet(level)
+        fold = None
+        for k in range(1, 251):
+            key = nonhalt_eq(k).key
+            level = Partition.from_key(len(codes), lambda i: key(codes[i]))
+            fold = level if fold is None else fold.meet(level)
             part = nonhalt_family_meet(k, machines)
             assert part == fold, k
-            assert part.related(3, len(machines) - 1)
+            assert part.related(3, len(machines) - 3)
+            assert part.related(len(machines) - 4, len(machines) - 2)
+            assert part.related(14, len(machines) - 1)
 
     def test_machine_coding_round_trip(self):
-        for m in zoo().values():
+        for m in list(zoo().values()) + _random_machines(52, 300):
             assert decode_tm(encode_tm(m)) == m
+            assert tm_from_text(tm_to_text(m)) == m
 
     def test_small_numbers_are_not_machines(self):
         assert all(decode_tm(x) is None for x in range(64))
-
-
-def random_tm(rng: random.Random) -> TmSpec:
-    """A seeded random small machine: one to four states, some of them
-    halting, a blank and zero to two more tape symbols, and a total table
-    whose endmarker rules keep the endmarker and never move left."""
-    names = rng.sample(["s", "q1", "q_2", "z9", "run", "h"], rng.randint(1, 4))
-    halting = frozenset(q for q in names[1:] if rng.random() < 0.4)
-    symbols = rng.sample("_01xb#*+-.", rng.randint(1, 3))
-    rules = {}
-    for q in names:
-        if q in halting:
-            continue
-        for a in symbols:
-            rules[q, a] = (rng.choice(names), rng.choice(symbols), rng.choice(tm.MOVES))
-        rules[q, tm.ENDMARKER] = (rng.choice(names), tm.ENDMARKER, rng.choice("RS"))
-    return TmSpec(tuple(names), symbols[0], names[0], halting, rules)
-
-
-def _random_machines(seed: int, count: int) -> list[TmSpec]:
-    rng = random.Random(seed)
-    return [random_tm(rng) for _ in range(count)]
 
 
 class TestRandomMachines:
@@ -492,11 +496,6 @@ class TestRandomMachines:
         assert verdicts == {True, False}
         assert len({tm_to_text(m) for m in machines}) > 150
 
-    def test_coding_round_trips(self):
-        for m in _random_machines(52, 300):
-            assert tm_from_text(tm_to_text(m)) == m
-            assert decode_tm(encode_tm(m)) == m
-
     def test_probe_agrees_with_simulation(self):
         for m in _random_machines(53, 60):
             symbols = [a for a in m.alphabet if a != tm.ENDMARKER]
@@ -507,31 +506,6 @@ class TestRandomMachines:
                     assert isinstance(result, NoHaltWithinBound)
                 else:
                     assert isinstance(result, HaltsInSteps) and result.steps == direct
-
-
-def _fold_of_levels(machines, k_max):
-    """Yield (k, meet of nonhalt_eq(1..k) on the machines' codes) for
-    k = 1..k_max: the explicit fold, one level at a time."""
-    codes = [encode_tm(m) for m in machines]
-    fold = None
-    for n in range(1, k_max + 1):
-        key = nonhalt_eq(n).key
-        level = Partition.from_key(len(codes), lambda i: key(codes[i]))
-        fold = level if fold is None else fold.meet(level)
-        yield n, fold
-
-
-class TestNonHaltingMeetMatchesFold:
-    def test_zoo_and_random_machines_to_k_250(self):
-        machines = list(zoo().values()) + _random_machines(54, 12)
-        # Repeats: equal machines, one of them built afresh from its text.
-        machines += [machines[3], machines[-1], tm_from_text(tm_to_text(machines[14]))]
-        for k, fold in _fold_of_levels(machines, 250):
-            part = nonhalt_family_meet(k, machines)
-            assert part == fold, k
-            assert part.related(3, len(machines) - 3)
-            assert part.related(len(machines) - 4, len(machines) - 2)
-            assert part.related(14, len(machines) - 1)
 
 
 def _long_halt():
