@@ -29,6 +29,7 @@ from .dfa import Dfa, Nfa, binary, dfa_from_text, dfa_to_text, equivalent, minim
 from .automatic import (
     AutomaticEq,
     ValidationError,
+    admission_checks,
     check_format,
     check_reflexive,
     check_symmetric,

@@ -19,18 +19,19 @@ relation.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .dfa import (
     Dfa,
+    _Index,
     binary,
     minimize,
     pair_format_dfa,
     pair_word,
     product,
+    product_table,
     subset_of,
 )
 from .partition import Partition
@@ -44,40 +45,55 @@ class ValidationError(ValueError):
         self.axiom = axiom
 
 
+_FORMAT = pair_format_dfa()
+
+
+def _format_product(d: Dfa) -> tuple[bool, Dfa]:
+    """One product of d with the format automaton gives both the format
+    verdict (no reachable pair accepts in d and rejects in the format
+    automaton) and, unminimized, the clean automaton: the same pairs with
+    "and" acceptance, which decides the same relation as d."""
+    delta, pairs = product_table(d, _FORMAT)
+    accepted = [(p in d.accepting, q in _FORMAT.accepting) for p, q in pairs]
+    clean = frozenset(i for i, both in enumerate(accepted) if both == (True, True))
+    return (True, False) not in accepted, Dfa._mk(delta, 0, clean)
+
+
 def check_format(d: Dfa) -> bool:
     """True iff every accepted word has the shape ``numeral B numeral``."""
-    return subset_of(d, pair_format_dfa())
+    return _format_product(d)[0]
 
 
 def _format_clean(d: Dfa) -> Dfa:
     """Restrict to well-formatted words; the decided relation is unchanged."""
-    return minimize(product(d, pair_format_dfa(), operator.and_))
+    return minimize(_format_product(d)[1])
 
 
 def _numerals(*automata: tuple[Sequence[Sequence[int]], int]) -> dict[tuple[int, ...], int]:
     """Read one canonical numeral through every ``(delta, start)`` automaton
-    at once and map each tuple of states so reached to the least value
-    reaching it.
+    (over the pair alphabet) at once and map each tuple of states so reached
+    to the least value reaching it.
 
     A shortlex BFS: "0" cannot be extended, "1" can by any digits, and values
-    are dequeued in increasing order, so the first one kept is the least and
+    are found in increasing order, so the first one kept is the least and
     the keys come out in increasing order of their values.
     """
     deltas = [delta for delta, _ in automata]
-    rows = [delta[start] for delta, start in automata]
-    least = {tuple([row[0] for row in rows]): 0}
-    one = tuple([row[1] for row in rows])
-    queue = deque([(one, 1)])
-    enqueued = {one}
-    while queue:
-        t, v = queue.popleft()
-        least.setdefault(t, v)
-        rows = [delta[s] for delta, s in zip(deltas, t)]
-        for bit in (0, 1):
-            u = tuple([row[bit] for row in rows])
-            if u not in enqueued:
-                enqueued.add(u)
-                queue.append((u, 2 * v + bit))
+    zero, one, _ = zip(*[delta[start] for delta, start in automata])
+    found = {one: 1}
+    order = [one]
+    for t in order:
+        v = 2 * found[t]
+        t0, t1, _ = zip(*map(operator.getitem, deltas, t))
+        if t0 not in found:
+            found[t0] = v
+            order.append(t0)
+        if t1 not in found:
+            found[t1] = v + 1
+            order.append(t1)
+    found.pop(zero, None)
+    least = {zero: 0}
+    least.update(found)
     return least
 
 
@@ -93,11 +109,14 @@ class _ClassTable:
 
     def __init__(self, d: Dfa):
         self.dfa = d
-        self.classes = {d.delta[s][2] for (s,) in _numerals((d.delta, d.start))}
+        class_of = [row[2] for row in d.delta]
+        self.classes = {class_of[s] for (s,) in _numerals((d.delta, d.start))}
         self.answers: dict[tuple[int, int], set[bool]] = {}
         for r in self.classes:
-            for p, q in _numerals((d.delta, d.start), (d.delta, r)):
-                self.answers.setdefault((d.delta[p][2], r), set()).add(q in d.accepting)
+            ps, qs = zip(*_numerals((d.delta, d.start), (d.delta, r)))
+            seen = zip(map(class_of.__getitem__, ps), map(d.accepting.__contains__, qs))
+            for r2, answer in set(seen):
+                self.answers.setdefault((r2, r), set()).add(answer)
 
     def reflexive(self) -> bool:
         """Every u in K_r lies in L_r."""
@@ -117,7 +136,7 @@ class _ClassTable:
         no such pair with r2 != r, so it needs no containment check."""
         d = self.dfa
         return all(
-            subset_of(Dfa(d.delta, r2, d.accepting), Dfa(d.delta, r, d.accepting))
+            subset_of(Dfa._mk(d.delta, r2, d.accepting), Dfa._mk(d.delta, r, d.accepting))
             for (r2, r), seen in self.answers.items()
             if r2 != r and True in seen
         )
@@ -151,6 +170,20 @@ def check_transitive(d: Dfa) -> bool:
     return _ClassTable(_format_clean(d)).transitive()
 
 
+def admission_checks(d: Dfa) -> list[tuple[str, bool]]:
+    """Every admission check by axiom name, in ``from_dfa``'s order, from one
+    format product and one class table; the axioms are read on the clean
+    automaton even when the format check fails."""
+    well_formed, clean = _format_product(d)
+    table = _ClassTable(minimize(clean))
+    return [
+        ("format", well_formed),
+        ("reflexivity", table.reflexive()),
+        ("symmetry", table.symmetric()),
+        ("transitivity", table.transitive()),
+    ]
+
+
 class AutomaticEq:
     """A certified automatic equivalence relation.
 
@@ -171,9 +204,10 @@ class AutomaticEq:
     def from_dfa(cls, d: Dfa) -> "AutomaticEq":
         """Validate and wrap a DFA; raises ValidationError naming the failed
         axiom otherwise."""
-        if not check_format(d):
+        well_formed, clean = _format_product(d)
+        if not well_formed:
             raise ValidationError("format", "accepts words outside 'numeral B numeral'")
-        clean = _format_clean(d)
+        clean = minimize(clean)
         table = _ClassTable(clean)
         if not table.reflexive():
             raise ValidationError("reflexivity", "some w B w is rejected")
@@ -343,51 +377,25 @@ def kernel_pair_dfa(
         return key_of.get(s, missing)
 
     dead = ("dead",)
-    start_node = ("l", start, 0)
-    index: dict[object, int] = {dead: 0, start_node: 1}
-    queue = deque([dead, start_node])
-    rows: list[list[int] | None] = [None, None]
+    index = _Index(dead)
+    index["l", start, 0]  # state 1, the start
+    rows = []
     accepting = set()
-
-    def intern(node) -> int:
-        if node not in index:
-            index[node] = len(index)
-            rows.append(None)
-            queue.append(node)
-        return index[node]
-
-    while queue:
-        node = queue.popleft()
-        i = index[node]
-        if rows[i] is not None:
-            continue
+    for i, node in enumerate(index.order):  # BFS: the list grows as it is read
         if node == dead:
-            rows[i] = [0, 0, 0]
-            continue
-        phase = node[0]
-        if phase == "l":
+            rows.append((0, 0, 0))
+        elif node[0] == "l":
             _, s, trk = node
-            row = []
-            for bit in (0, 1):
-                t = _TRK[trk][bit]
-                row.append(0 if t == 3 else intern(("l", delta01[s][bit], t)))
-            if trk in _TRK_DONE:
-                row.append(intern(("r", start, 0, key(s))))
-            else:
-                row.append(0)
-            rows[i] = row
+            row = [0 if t == 3 else index["l", u, t] for u, t in zip(delta01[s], _TRK[trk])]
+            rows.append((*row, index["r", start, 0, key(s)] if trk in _TRK_DONE else 0))
         else:
             _, s, trk, want = node
-            row = []
-            for bit in (0, 1):
-                t = _TRK[trk][bit]
-                row.append(0 if t == 3 else intern(("r", delta01[s][bit], t, want)))
-            row.append(0)
-            rows[i] = row
+            row = [0 if t == 3 else index["r", u, t, want] for u, t in zip(delta01[s], _TRK[trk])]
+            rows.append((*row, 0))
             if trk in _TRK_DONE and key(s) is not missing and want is not missing:
                 if accept(key(s), want):
                     accepting.add(i)
-    return Dfa(rows, 1, accepting)
+    return Dfa._mk(tuple(rows), 1, frozenset(accepting))
 
 
 def kernel_relation(

@@ -93,13 +93,7 @@ def cmd_automatic(args) -> int:
         print("a DFA file is required", file=sys.stderr)
         return 2
     if op == "check":
-        d = _load_dfa(args.inputs[0])
-        rows = [
-            ("format", am.check_format(d)),
-            ("reflexivity", am.check_reflexive(d)),
-            ("symmetry", am.check_symmetric(d)),
-            ("transitivity", am.check_transitive(d)),
-        ]
+        rows = am.admission_checks(_load_dfa(args.inputs[0]))
         for name, passed in rows:
             print(f"[{'PASS' if passed else 'FAIL'}] {name}")
         return 0 if all(p for _, p in rows) else 1
@@ -202,6 +196,10 @@ def _build_expr(node: ast.expr) -> dc.DeciderEq:
     raise ValueError(f"cannot interpret {ast.dump(node)}")
 
 
+# `decider check` tabulates the relation on {0..B-1}: B^2 tests and memory.
+MAX_CHECK_BOUND = 512
+
+
 def cmd_decider(args) -> int:
     rel = parse_decider_expr(args.expr)
     if args.op == "decide":
@@ -217,6 +215,8 @@ def cmd_decider(args) -> int:
         _emit(rel.restrict(args.values[0]).to_text(), args.out)
         return 0
     if args.op == "check":
+        if args.bound > MAX_CHECK_BOUND:
+            raise ValueError(f"check bound {args.bound} is above the limit {MAX_CHECK_BOUND}")
         ok = dc.is_equivalence_sampled(rel, args.bound)
         print(f"[{'PASS' if ok else 'FAIL'}] equivalence axioms on {{0..{args.bound - 1}}}")
         print(f"cost note: {rel.cost_note}")

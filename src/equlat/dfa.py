@@ -10,6 +10,7 @@ and immutable; every function here returns fresh values.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Callable, Iterable
 
 ALPHABET = ("0", "1", "B")
@@ -54,6 +55,13 @@ class Dfa:
         self.start = start
         self.accepting = accepting
 
+    @classmethod
+    def _mk(cls, delta: tuple[tuple[int, ...], ...], start: int, accepting: frozenset) -> "Dfa":
+        # Fast path for internal construction of tables built total and in range.
+        d = object.__new__(cls)
+        d.delta, d.start, d.accepting = delta, start, accepting
+        return d
+
     @property
     def state_count(self) -> int:
         return len(self.delta)
@@ -75,40 +83,48 @@ class Dfa:
         return f"Dfa(states={self.state_count}, start={self.start}, accepting={sorted(self.accepting)})"
 
 
+class _Index(dict):
+    """Numbers each key on its first lookup; ``order`` lists the keys so
+    numbered, which a BFS walks while it grows."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, first):
+        super().__init__({first: 0})
+        self.order = [first]
+
+    def __missing__(self, key) -> int:
+        self.order.append(key)
+        number = self[key] = len(self)
+        return number
+
+
 def reachable_states(d: Dfa) -> list[int]:
     """States reachable from the start, in BFS discovery order."""
-    order = [d.start]
-    seen = {d.start}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
+    index = _Index(d.start)
+    for s in index.order:
         for t in d.delta[s]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-    return order
+            index[t]  # numbers t on first sight
+    return index.order
+
+
+def product_table(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]:
+    """Transition table of the reachable pairs of states of a and b, numbered
+    in BFS order from (a.start, b.start), and the list of those pairs."""
+    index = _Index((a.start, b.start))
+    lookup = index.__getitem__
+    delta = tuple(
+        tuple(map(lookup, zip(a.delta[sa], b.delta[sb]))) for sa, sb in index.order
+    )
+    return delta, index.order
 
 
 def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
     """Product automaton accepting op(a-accepts, b-accepts), reachable part only."""
-    index = {(a.start, b.start): 0}
-    queue = deque([(a.start, b.start)])
-    delta = []
-    accepting = set()
-    while queue:
-        sa, sb = queue.popleft()
-        row = []
-        for i in range(3):
-            nxt = (a.delta[sa][i], b.delta[sb][i])
-            if nxt not in index:
-                index[nxt] = len(index)
-                queue.append(nxt)
-            row.append(index[nxt])
-        delta.append(row)
-        if op(sa in a.accepting, sb in b.accepting):
-            accepting.add(index[(sa, sb)])
-    return Dfa(delta, 0, accepting)
+    delta, pairs = product_table(a, b)
+    fa, fb = a.accepting, b.accepting
+    accepting = frozenset(i for i, (sa, sb) in enumerate(pairs) if op(sa in fa, sb in fb))
+    return Dfa._mk(delta, 0, accepting)
 
 
 def is_empty(d: Dfa) -> bool:
@@ -126,33 +142,26 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 
 def minimize(d: Dfa) -> Dfa:
-    """Minimal DFA for the same language (Moore partition refinement)."""
+    """Minimal DFA for the same language (Moore partition refinement); each
+    block is numbered by its first reachable state in BFS order."""
     order = reachable_states(d)
     pos = {s: i for i, s in enumerate(order)}
-    block = [1 if s in d.accepting else 0 for s in order]
-    if max(block, default=0) == 0 or min(block) == 1:
-        block = [0] * len(order)
+    columns = [list(map(pos.__getitem__, col)) for col in zip(*map(d.delta.__getitem__, order))]
+    final = [s in d.accepting for s in order]
+    block = list(map(int, final))
     while True:
-        signature = {}
-        new_block = []
-        for i, s in enumerate(order):
-            sig = (block[i],) + tuple(block[pos[t]] for t in d.delta[s])
-            new_block.append(signature.setdefault(sig, len(signature)))
+        at = block.__getitem__
+        signatures = list(zip(block, *(map(at, col) for col in columns)))
+        distinct = dict.fromkeys(signatures)
+        number = dict(zip(distinct, range(len(distinct))))
+        new_block = list(map(number.__getitem__, signatures))
         if new_block == block:
             break
         block = new_block
-    # Renumber blocks by first occurrence so output numbering is deterministic.
-    renum: dict[int, int] = {}
-    for b in block:
-        renum.setdefault(b, len(renum))
-    block = [renum[b] for b in block]
-    delta = [None] * len(renum)
-    accepting = set()
-    for i, s in enumerate(order):
-        delta[block[i]] = [block[pos[t]] for t in d.delta[s]]
-        if s in d.accepting:
-            accepting.add(block[i])
-    return Dfa(delta, block[pos[d.start]], accepting)
+    # Stable, so each signature is (own block, successors' blocks): its tail
+    # is the row of the block it numbers.
+    delta = tuple(sig[1:] for sig in number)
+    return Dfa._mk(delta, 0, frozenset(compress(block, final)))
 
 
 class Nfa:
@@ -237,26 +246,29 @@ def dfa_from_text(text: str) -> Dfa:
     """Parse the DFA text format, verifying the transition table is total."""
     states = start = None
     accepting: list[int] = []
-    rules: dict[tuple[int, str], int] = {}
+    rules: dict[int, int] = {}  # 3 * state + symbol index -> target
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        kind, colon, rest = line.partition(":")
         try:
-            if line.startswith("states:"):
-                states = int(line.split(":", 1)[1])
-            elif line.startswith("start:"):
-                start = int(line.split(":", 1)[1])
-            elif line.startswith("accept:"):
-                accepting = [int(tok) for tok in line.split(":", 1)[1].split()]
-            elif line.startswith("trans:"):
-                src, sym, dst = line[len("trans:"):].split()
+            if not colon:
+                raise ValueError
+            if kind == "trans":
+                src, sym, dst = rest.split()
                 if sym not in _IDX:
                     raise ValueError
-                key = (int(src), sym)
+                key = 3 * int(src) + _IDX[sym]
                 if key in rules:
-                    raise ValueError(f"line {lineno}: duplicate transition {key}")
+                    raise ValueError(f"line {lineno}: duplicate transition {(int(src), sym)}")
                 rules[key] = int(dst)
+            elif kind == "states":
+                states = int(rest)
+            elif kind == "start":
+                start = int(rest)
+            elif kind == "accept":
+                accepting = [int(tok) for tok in rest.split()]
             else:
                 raise ValueError
         except ValueError as exc:
@@ -265,15 +277,13 @@ def dfa_from_text(text: str) -> Dfa:
             raise ValueError(f"line {lineno}: cannot parse {line!r}") from None
     if states is None or start is None:
         raise ValueError("missing 'states:' or 'start:' header")
-    delta = []
-    for s in range(states):
-        row = []
-        for ch in ALPHABET:
-            if (s, ch) not in rules:
-                raise ValueError(f"transition table not total: missing ({s}, {ch})")
-            row.append(rules[(s, ch)])
-        delta.append(row)
+    # Keys ascend as (state, symbol) pairs do, and the first state missing a
+    # transition is at most len(rules) // 3.
+    targets = list(map(rules.get, range(3 * min(states, len(rules) // 3 + 1))))
+    if None in targets:
+        s, i = divmod(targets.index(None), 3)
+        raise ValueError(f"transition table not total: missing ({s}, {ALPHABET[i]})")
     if len(rules) != states * 3:
-        extra = sorted(k for k in rules if k[0] >= states)
+        extra = [(k // 3, ALPHABET[k % 3]) for k in sorted(rules) if k >= 3 * states]
         raise ValueError(f"transitions reference unknown states: {extra}")
-    return Dfa(delta, start, accepting)
+    return Dfa(zip(*[iter(targets)] * 3), start, accepting)  # rows of three targets

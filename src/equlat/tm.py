@@ -178,9 +178,16 @@ def trajectory(m: TmSpec, input_str: str, max_steps: int) -> list[Configuration]
 
 
 def halt_step(m: TmSpec, input_str: str, max_steps: int) -> int | None:
-    """Direct simulation: the step at which the machine halts, if within bound."""
-    traj = trajectory(m, input_str, max_steps)
-    return len(traj) - 1 if traj[-1].state in m.halting else None
+    """Direct simulation: the step at which the machine halts, if within
+    bound.  Only the current configuration is kept."""
+    if max_steps < 0:
+        raise ValueError(f"step bound must be non-negative, got {max_steps}")
+    c = init_config(m, input_str)
+    for t in range(max_steps):
+        if c.state in m.halting:
+            return t
+        c = step(m, c)
+    return max_steps if c.state in m.halting else None
 
 
 # -- configuration coding ----------------------------------------------------

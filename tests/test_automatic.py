@@ -490,3 +490,80 @@ class TestUpwardClosure:
             grouped = a.coarsen(blocks)
             again = AutomaticEq.from_dfa(grouped.dfa)  # passes all axioms
             assert again.class_count == len(blocks)
+
+
+def _queue_kernel_pair_dfa(delta01, start, key_of, accept=operator.eq):
+    """The queue-and-intern construction ``kernel_pair_dfa`` replaced."""
+    from collections import deque
+
+    from equlat.automatic import _TRK, _TRK_DONE
+
+    missing = object()
+
+    def key(s):
+        return key_of.get(s, missing)
+
+    dead = ("dead",)
+    index = {dead: 0, ("l", start, 0): 1}
+    queue = deque([dead, ("l", start, 0)])
+    rows = [None, None]
+    accepting = set()
+
+    def intern(node):
+        if node not in index:
+            index[node] = len(index)
+            rows.append(None)
+            queue.append(node)
+        return index[node]
+
+    while queue:
+        node = queue.popleft()
+        i = index[node]
+        if rows[i] is not None:
+            continue
+        if node == dead:
+            rows[i] = [0, 0, 0]
+            continue
+        if node[0] == "l":
+            _, s, trk = node
+            row = [
+                0 if t == 3 else intern(("l", delta01[s][b], t)) for b, t in enumerate(_TRK[trk])
+            ]
+            row.append(intern(("r", start, 0, key(s))) if trk in _TRK_DONE else 0)
+        else:
+            _, s, trk, want = node
+            row = [
+                0 if t == 3 else intern(("r", delta01[s][b], t, want))
+                for b, t in enumerate(_TRK[trk])
+            ]
+            row.append(0)
+            if trk in _TRK_DONE and key(s) is not missing and want is not missing:
+                if accept(key(s), want):
+                    accepting.add(i)
+        rows[i] = row
+    return Dfa(rows, 1, accepting)
+
+
+class TestKernelPairDfaMatchesQueue:
+    def test_seeded_classifiers(self):
+        rng = random.Random(44)
+        near = lambda x, y: abs(x - y) <= 1  # noqa: E731
+        for _ in range(150):
+            delta, start, key = _small_classifier(rng)
+            if rng.random() < 0.3:  # states left out of key_of
+                key = {s: f for s, f in key.items() if rng.random() < 0.7}
+            for accept in (operator.eq, operator.ne, operator.lt, near):
+                got = kernel_pair_dfa(delta, start, key, accept)
+                want = _queue_kernel_pair_dfa(delta, start, key, accept)
+                assert (got.delta, got.start, got.accepting) == (
+                    want.delta, want.start, want.accepting
+                )
+
+
+def test_numerals_keep_zero_least_when_reached_again():
+    # "0" and "10" both end in state 1; 0 stays its least value and first key.
+    from equlat.automatic import _numerals
+
+    delta = ((1, 2, 0), (1, 1, 0), (1, 2, 0))
+    least = _numerals((delta, 0))
+    assert list(least.items()) == [((1,), 0), ((2,), 1)]

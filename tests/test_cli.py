@@ -1,8 +1,11 @@
+import operator
+
 import pytest
 
-from equlat.automatic import shared_feature_dfa
-from equlat.cli import main, parse_decider_expr
-from equlat.dfa import dfa_from_text, dfa_to_text, equivalent
+from equlat import decider as dc
+from equlat.automatic import corpus, shared_feature_dfa
+from equlat.cli import MAX_CHECK_BOUND, main, parse_decider_expr
+from equlat.dfa import Dfa, dfa_from_text, dfa_to_text, equivalent, product
 from equlat.partition import Partition, SmallEq
 
 
@@ -115,6 +118,22 @@ class TestAutomaticCommands:
             "[PASS] reflexivity",
             "[PASS] symmetry",
             "[FAIL] transitivity",
+        ]
+
+    def test_check_fails_only_format(self, capsys, tmp_path):
+        # parity plus one malformed word: the clean automaton is still an
+        # equivalence, so only the format row fails.
+        malformed = Dfa([(1, 4, 4), (4, 2, 4), (4, 4, 3), (4, 5, 4), (4, 4, 4), (4, 4, 4)], 0, {5})
+        assert malformed.accepts("01B1")
+        target = tmp_path / "parity-plus.dfa"
+        target.write_text(dfa_to_text(product(corpus()["parity"].dfa, malformed, operator.or_)))
+        code, out, _ = run(capsys, "automatic", "check", str(target))
+        assert code == 1
+        assert out.splitlines() == [
+            "[FAIL] format",
+            "[PASS] reflexivity",
+            "[PASS] symmetry",
+            "[PASS] transitivity",
         ]
 
     def test_reps_of_singleton_family(self, capsys, tmp_path):
@@ -310,6 +329,19 @@ class TestExitContract:
     def test_sample_bound_one(self, capsys):
         code, out, _ = run(capsys, "decider", "check", "parity", "--bound", "1")
         assert code == 0 and "[PASS] equivalence axioms on {0..0}" in out
+
+    def test_sample_bound_limit(self, capsys, monkeypatch):
+        tabulated = []
+        monkeypatch.setattr(dc, "axiom_counterexamples", lambda *args: tabulated.append(args))
+        bound = str(MAX_CHECK_BOUND + 1)
+        code, out, err = run(capsys, "decider", "check", "parity", "--bound", bound)
+        assert code == 2
+        assert err.startswith("error: ") and f"limit {MAX_CHECK_BOUND}" in err
+        assert out == "" and tabulated == []
+
+    def test_default_sample_bound(self, capsys):
+        code, out, _ = run(capsys, "decider", "check", "parity")
+        assert code == 0 and "[PASS] equivalence axioms on {0..31}" in out
 
     @pytest.mark.parametrize(
         "argv",

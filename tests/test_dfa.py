@@ -1,4 +1,6 @@
 import operator
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from equlat.dfa import (
     pair_format_dfa,
     pair_word,
     product,
+    reachable_states,
     subset_of,
 )
 
@@ -119,12 +122,31 @@ def test_nfa_determinize():
 
 
 def test_dfa_validation():
-    with pytest.raises(ValueError):
-        Dfa([(0, 0)], 0, set())  # row too short
-    with pytest.raises(ValueError):
-        Dfa([(0, 0, 5)], 0, set())  # target out of range
-    with pytest.raises(ValueError):
-        Dfa([(0, 0, 0)], 3, set())  # start out of range
+    cases = [
+        ([], 0, set(), "need at least one state"),
+        ([(0, 0)], 0, set(), "bad transition row for state 0"),  # row too short
+        ([(0, 0, 0, 0)], 0, set(), "bad transition row for state 0"),  # too long
+        ([(0, 0, 5)], 0, set(), "bad transition row for state 0"),  # target too big
+        ([(0, 0, 0), (0, -1, 1)], 0, set(), "bad transition row for state 1"),
+        ([(0, 0, 0), (1, 1), (9, 9, 9)], 0, set(), "bad transition row for state 1"),
+        ([(0, 0, 0), (1, 1, 1), (0, 1, 3)], 0, set(), "bad transition row for state 2"),
+        ([(0, 0, 0)], 3, set(), "start state out of range"),
+        ([(0, 0, 0)], -1, set(), "start state out of range"),
+        ([(0, 0, 0)], 0, {1}, "accepting state out of range"),
+        ([(0, 0, 0)], 0, {0, -1}, "accepting state out of range"),
+    ]
+    for delta, start, accepting, message in cases:
+        with pytest.raises(ValueError) as exc:
+            Dfa(delta, start, accepting)
+        assert str(exc.value) == message
+
+
+def test_dfa_validation_order():
+    # Rows are checked before the start state, the start before acceptance.
+    with pytest.raises(ValueError, match="^bad transition row for state 0$"):
+        Dfa([(0, 0, 2)], 5, {7})
+    with pytest.raises(ValueError, match="^start state out of range$"):
+        Dfa([(0, 0, 0)], 5, {7})
 
 
 class TestTextFormat:
@@ -148,3 +170,314 @@ class TestTextFormat:
     def test_bad_line_is_named(self):
         with pytest.raises(ValueError, match="line 2"):
             dfa_from_text("states: 1\nnonsense\n")
+
+
+# -- the kernel against the loops it replaced ----------------------------------
+
+
+def _old_product(a, b, op):
+    """Pair BFS with a queue, one dict probe per symbol."""
+    index = {(a.start, b.start): 0}
+    queue = deque([(a.start, b.start)])
+    delta = []
+    accepting = set()
+    while queue:
+        sa, sb = queue.popleft()
+        row = []
+        for i in range(3):
+            nxt = (a.delta[sa][i], b.delta[sb][i])
+            if nxt not in index:
+                index[nxt] = len(index)
+                queue.append(nxt)
+            row.append(index[nxt])
+        delta.append(row)
+        if op(sa in a.accepting, sb in b.accepting):
+            accepting.add(index[(sa, sb)])
+    return Dfa(delta, 0, accepting)
+
+
+def _moore_loop(d):
+    """Moore refinement one state at a time, renumbered by first occurrence."""
+    order = reachable_states(d)
+    pos = {s: i for i, s in enumerate(order)}
+    block = [1 if s in d.accepting else 0 for s in order]
+    if max(block, default=0) == 0 or min(block) == 1:
+        block = [0] * len(order)
+    while True:
+        signature = {}
+        new_block = []
+        for i, s in enumerate(order):
+            sig = (block[i],) + tuple(block[pos[t]] for t in d.delta[s])
+            new_block.append(signature.setdefault(sig, len(signature)))
+        if new_block == block:
+            break
+        block = new_block
+    renum = {}
+    for b in block:
+        renum.setdefault(b, len(renum))
+    block = [renum[b] for b in block]
+    delta = [None] * len(renum)
+    accepting = set()
+    for i, s in enumerate(order):
+        delta[block[i]] = [block[pos[t]] for t in d.delta[s]]
+        if s in d.accepting:
+            accepting.add(block[i])
+    return Dfa(delta, block[pos[d.start]], accepting)
+
+
+def _old_check_format(d):
+    return is_empty(_old_product(d, pair_format_dfa(), lambda x, y: x and not y))
+
+
+def _old_format_clean(d):
+    return _moore_loop(_old_product(d, pair_format_dfa(), operator.and_))
+
+
+def _fields(d):
+    return d.delta, d.start, d.accepting
+
+
+def _random_dfa(rng, mode):
+    """States 0..n-1 with a start that may leave some of them unreachable."""
+    n = rng.randint(1, 30)
+    delta = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(n)]
+    if mode == "all":
+        accepting = set(range(n))
+    elif mode == "none":
+        accepting = set()
+    else:
+        accepting = {s for s in range(n) if rng.random() < 0.3}
+    return Dfa(delta, rng.randrange(n), accepting)
+
+
+def _pair_dfa(rng):
+    """A random pair automaton: mostly format-clean words, sometimes more."""
+    from equlat.automatic import kernel_pair_dfa
+
+    k = rng.randint(1, 6)
+    delta01 = tuple(tuple(rng.randrange(k) for _ in range(2)) for _ in range(k))
+    key = {s: rng.randrange(3) for s in range(k)}
+    near = lambda x, y: abs(x - y) <= 1  # reflexive, symmetric, not transitive
+    d = kernel_pair_dfa(delta01, 0, key, accept=rng.choice((operator.eq, operator.le, near)))
+    if rng.random() < 0.5:
+        d = product(d, _random_dfa(rng, "some"), operator.or_)
+    return d
+
+
+def _kernel_inputs():
+    from equlat.automatic import corpus, singleton_family
+
+    rng = random.Random(20261018)
+    out = [rel.dfa for rel in corpus().values()]
+    out += [product(rel.dfa, pair_format_dfa(), operator.and_) for rel in corpus().values()]
+    out += [_random_dfa(rng, mode) for mode in ("all", "none", "some") for _ in range(60)]
+    out += [_pair_dfa(rng) for _ in range(80)]
+    for _ in range(12):
+        indices = rng.sample(range(40), rng.randint(2, 12))
+        acc = singleton_family(indices[0]).dfa
+        for i in indices[1:]:
+            acc = product(acc, singleton_family(i).dfa, operator.and_)
+            out.append(acc)
+    return out
+
+
+class TestKernelMatchesOldLoops:
+    def test_inputs_cover_the_shapes(self):
+        inputs = _kernel_inputs()
+        assert any(len(reachable_states(d)) < d.state_count for d in inputs)
+        assert any(d.accepting == frozenset(range(d.state_count)) for d in inputs)
+        assert any(not d.accepting for d in inputs)
+        assert any(not _old_check_format(d) for d in inputs)
+        from equlat.automatic import admission_checks
+
+        first_failures = {
+            next((a for a, passed in admission_checks(d) if not passed), None) for d in inputs
+        }
+        assert first_failures == {None, "format", "reflexivity", "symmetry", "transitivity"}
+        assert max(d.state_count for d in inputs) > 100
+
+    def test_minimize(self):
+        for d in _kernel_inputs():
+            assert _fields(minimize(d)) == _fields(_moore_loop(d))
+
+    def test_product(self):
+        rng = random.Random(7)
+        inputs = _kernel_inputs()
+        for _ in range(150):
+            a, b = rng.choice(inputs), rng.choice(inputs)
+            for op in (operator.and_, operator.or_, operator.ne):
+                assert _fields(product(a, b, op)) == _fields(_old_product(a, b, op))
+
+    def test_format_product(self):
+        from equlat import automatic as am
+
+        axioms = ("format", "reflexivity", "symmetry", "transitivity")
+        separate = (am.check_format, am.check_reflexive, am.check_symmetric, am.check_transitive)
+        for d in _kernel_inputs():
+            assert am.check_format(d) == _old_check_format(d)
+            assert _fields(am._format_clean(d)) == _fields(_old_format_clean(d))
+            rows = am.admission_checks(d)
+            assert rows == [(a, check(d)) for a, check in zip(axioms, separate)]
+            # from_dfa names the first failing row, or admits the clean automaton.
+            try:
+                admitted = _fields(am.AutomaticEq.from_dfa(d).dfa)
+            except am.ValidationError as exc:
+                admitted = exc.axiom
+            first_failure = next((a for a, passed in rows if not passed), None)
+            assert admitted == (first_failure or _fields(_old_format_clean(d)))
+
+    def test_trusted_tables_pass_validation(self):
+        # Every table built without checks would pass them.
+        for d in _kernel_inputs():
+            for out in (minimize(d), product(d, pair_format_dfa(), operator.and_)):
+                assert _fields(Dfa(*_fields(out))) == _fields(out)
+                assert all(type(row) is tuple for row in out.delta)
+                assert type(out.accepting) is frozenset
+
+
+# -- the text parser against the one it replaced -------------------------------
+
+
+def _old_validated(delta, start, accepting):
+    """The constructor's checks, one row at a time."""
+    delta = tuple(tuple(row) for row in delta)
+    n = len(delta)
+    if n == 0:
+        raise ValueError("need at least one state")
+    for s, row in enumerate(delta):
+        if len(row) != 3 or any(not 0 <= t < n for t in row):
+            raise ValueError(f"bad transition row for state {s}")
+    if not 0 <= start < n:
+        raise ValueError("start state out of range")
+    accepting = frozenset(accepting)
+    if any(not 0 <= s < n for s in accepting):
+        raise ValueError("accepting state out of range")
+    return delta, start, accepting
+
+
+def _old_dfa_from_text(text):
+    """The prefix-cascade parser, returning the validated fields."""
+    states = start = None
+    accepting = []
+    rules = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            if line.startswith("states:"):
+                states = int(line.split(":", 1)[1])
+            elif line.startswith("start:"):
+                start = int(line.split(":", 1)[1])
+            elif line.startswith("accept:"):
+                accepting = [int(tok) for tok in line.split(":", 1)[1].split()]
+            elif line.startswith("trans:"):
+                src, sym, dst = line[len("trans:"):].split()
+                if sym not in ("0", "1", "B"):
+                    raise ValueError
+                key = (int(src), sym)
+                if key in rules:
+                    raise ValueError(f"line {lineno}: duplicate transition {key}")
+                rules[key] = int(dst)
+            else:
+                raise ValueError
+        except ValueError as exc:
+            if exc.args and str(exc).startswith("line"):
+                raise
+            raise ValueError(f"line {lineno}: cannot parse {line!r}") from None
+    if states is None or start is None:
+        raise ValueError("missing 'states:' or 'start:' header")
+    delta = []
+    for s in range(states):
+        row = []
+        for ch in ("0", "1", "B"):
+            if (s, ch) not in rules:
+                raise ValueError(f"transition table not total: missing ({s}, {ch})")
+            row.append(rules[(s, ch)])
+        delta.append(row)
+    if len(rules) != states * 3:
+        extra = sorted(k for k in rules if k[0] >= states)
+        raise ValueError(f"transitions reference unknown states: {extra}")
+    return _old_validated(delta, start, accepting)
+
+
+_BAD_FIELDS = ("x", "", "1.5", "0x3", "٣", "+1", "-1", "1_0", "B", "10**9")
+
+
+def _mutate_field(rng, line, n):
+    """Replace one whitespace-separated field after the line's keyword."""
+    kind, _, rest = line.partition(":")
+    fields = rest.split()
+    if not fields:
+        return line + " " + rng.choice(_BAD_FIELDS + (str(n),))
+    i = rng.randrange(len(fields))
+    if kind == "trans" and i == 1:
+        fields[i] = rng.choice(("2", "b", "BB", "", "01", "0"))
+    else:
+        fields[i] = rng.choice(_BAD_FIELDS + (str(n), str(n + 3), "-1", "0", str(n - 1)))
+    return kind + ": " + " ".join(fields)
+
+
+def _mutate(rng, text, n):
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(9)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            lines[i] = _mutate_field(rng, lines[i], n)
+        elif op == 4:
+            header = rng.choice(("states:", "start:", "accept:"))
+            lines = [line for line in lines if not line.startswith(header)]
+        elif op == 5:
+            junk = ("", "   ", "# note", "trans 0 0 0", "states : 2", "start:")
+            lines.insert(i, rng.choice(junk))
+        elif op == 6:
+            lines[i] = rng.choice(("  ", "\t")) + lines[i] + rng.choice(("", " ", "\t"))
+        elif op == 7:
+            lines[i] = lines[i].replace(":", rng.choice((" :", "::", "")), 1)
+        else:
+            s = rng.randrange(n + 2)
+            lines.insert(i, f"trans: {s} {rng.choice('01B')} {rng.randrange(-1, n + 2)}")
+        if not lines:
+            break
+    return "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestParserMatchesOldParser:
+    def test_seeded_mutations(self):
+        rng = random.Random(9)
+        inputs = _kernel_inputs()
+        outcomes = set()
+        for _ in range(3000):
+            d = rng.choice(inputs)
+            text = _mutate(rng, dfa_to_text(d), d.state_count)
+            new = _parse_outcome(lambda t: _fields(dfa_from_text(t)), text)
+            assert new == _parse_outcome(_old_dfa_from_text, text), text
+            outcomes.add(new[0] if new[0] == "ok" else new[1].split(":")[0].split(" ")[0])
+        # Both parses, and each kind of error, occur.
+        kinds = {"line", "missing", "transition", "transitions", "bad", "start", "accepting"}
+        assert {"ok"} | kinds <= outcomes
+
+    def test_unmutated_round_trip(self):
+        for d in _kernel_inputs():
+            text = dfa_to_text(d)
+            assert _fields(dfa_from_text(text)) == _fields(d) == _old_dfa_from_text(text)
+
+    def test_huge_state_header_fails_fast(self):
+        text = "states: 1000000000000\nstart: 0\naccept:\ntrans: 0 0 0\n"
+        with pytest.raises(ValueError, match=r"^transition table not total: missing \(0, 1\)$"):
+            dfa_from_text(text)

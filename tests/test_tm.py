@@ -692,3 +692,37 @@ class TestStepBounds:
         assert isinstance(res, HaltsInSteps) and res.steps == 0
         res = halting_probe(builder, "", 0)
         assert isinstance(res, NoHaltWithinBound) and res.chain_bound == 2
+
+
+def _halt_step_from_trajectory(m, input_str, bound):
+    traj = trajectory(m, input_str, bound)
+    return len(traj) - 1 if traj[-1].state in m.halting else None
+
+
+class TestHaltStep:
+    def test_matches_trajectory(self):
+        machines = list(zoo().values()) + [_long_halt()] + _random_machines(57, 80)
+        for m in machines:
+            symbols = [a for a in m.alphabet if a != tm.ENDMARKER]
+            for inp in ("", symbols[-1] * 3):
+                direct = halt_step(m, inp, 400)
+                assert direct == _halt_step_from_trajectory(m, inp, 400)
+                # At the halting step and one below it the answer flips.
+                if direct is not None:
+                    assert halt_step(m, inp, direct) == direct
+                    if direct > 0:
+                        assert halt_step(m, inp, direct - 1) is None
+
+    def test_memory_is_linear_in_the_tape(self):
+        # builder grows its tape by a cell per step; keeping every
+        # configuration would peak at several MB at this bound.
+        import tracemalloc
+
+        builder = zoo()["builder"]
+        tracemalloc.start()
+        try:
+            assert halt_step(builder, "", 4000) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
