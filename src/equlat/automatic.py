@@ -11,17 +11,19 @@ at most as many classes as states.
 its language is well-formatted and that the decided relation is reflexive,
 symmetric and transitive.  All three axioms are read from one class table
 built on the automaton itself (no sampling): the relation is the union of
-K_r x L_r over the classes r, and one BFS per class over pairs of states
-records which classes' members each class accepts.  The work is polynomial
-in the state count, and validation is a proof for the whole infinite
-relation.
+K_r x L_r over the classes r, one BFS per class over pairs of states
+records which classes' members each class accepts, and one more per
+overlapping pair of classes checks that their languages nest.  The work is
+polynomial in the state count, and validation is a proof for the whole
+infinite relation.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import Callable, Generator, Hashable, Iterable, Mapping, Sequence
 
 from .dfa import (
     Dfa,
@@ -32,7 +34,6 @@ from .dfa import (
     pair_word,
     product,
     product_table,
-    subset_of,
 )
 from .partition import Partition
 
@@ -57,16 +58,6 @@ def _format_product(d: Dfa) -> tuple[bool, Dfa]:
     accepted = [(p in d.accepting, q in _FORMAT.accepting) for p, q in pairs]
     clean = frozenset(i for i, both in enumerate(accepted) if both == (True, True))
     return (True, False) not in accepted, Dfa._mk(delta, 0, clean)
-
-
-def check_format(d: Dfa) -> bool:
-    """True iff every accepted word has the shape ``numeral B numeral``."""
-    return _format_product(d)[0]
-
-
-def _format_clean(d: Dfa) -> Dfa:
-    """Restrict to well-formatted words; the decided relation is unchanged."""
-    return minimize(_format_product(d)[1])
 
 
 def _numerals(*automata: tuple[Sequence[Sequence[int]], int]) -> dict[tuple[int, ...], int]:
@@ -98,29 +89,46 @@ def _numerals(*automata: tuple[Sequence[Sequence[int]], int]) -> dict[tuple[int,
 
 
 class _ClassTable:
-    """Which classes relate to which, over a format-clean DFA.
+    """The classes of a minimized, format-clean DFA and which relate to which.
 
-    A numeral u reaching state s has class r = delta(s, B); let K_r be the
-    numerals of class r and L_r the numerals accepted from r.  The relation
-    is exactly the union of K_r x L_r.  One BFS per class r reads the same
-    canonical numeral v from (start, r) and records ``answers[r2, r]``: the
-    set of truth values of "v in L_r" over all v in K_r2.
+    A numeral u reaching state s has class r = delta(s, B): minimized, the
+    DFA has one state per class language.  ``state_class`` numbers the class
+    of each numeral-reachable state by least member, ``reps`` lists those.
+    Let K_r be the numerals of class r and L_r the numerals accepted from r;
+    the relation is exactly the union of K_r x L_r.  The axioms read
+    ``answers[r2, r]``, the set of truth values of "v in L_r" over all v in
+    K_r2, built on first use by one numeral BFS from (start, r) per class.
     """
 
     def __init__(self, d: Dfa):
         self.dfa = d
-        class_of = [row[2] for row in d.delta]
-        self.classes = {class_of[s] for (s,) in _numerals((d.delta, d.start))}
-        self.answers: dict[tuple[int, int], set[bool]] = {}
-        for r in self.classes:
+        entered: dict[int, int] = {}  # class entry state -> class number
+        reps: list[int] = []
+        state_class = self.state_class = {}
+        for (s,), least in _numerals((d.delta, d.start)).items():
+            r = d.delta[s][2]
+            if r not in entered:
+                entered[r] = len(reps)
+                reps.append(least)
+            state_class[s] = entered[r]
+        self.entries = list(entered)
+        self.reps = tuple(reps)
+
+    @cached_property
+    def answers(self) -> dict[tuple[int, int], set[bool]]:
+        d = self.dfa
+        entry_of = [row[2] for row in d.delta]
+        answers: dict[tuple[int, int], set[bool]] = {}
+        for r in self.entries:
             ps, qs = zip(*_numerals((d.delta, d.start), (d.delta, r)))
-            seen = zip(map(class_of.__getitem__, ps), map(d.accepting.__contains__, qs))
+            seen = zip(map(entry_of.__getitem__, ps), map(d.accepting.__contains__, qs))
             for r2, answer in set(seen):
-                self.answers.setdefault((r2, r), set()).add(answer)
+                answers.setdefault((r2, r), set()).add(answer)
+        return answers
 
     def reflexive(self) -> bool:
         """Every u in K_r lies in L_r."""
-        return all(self.answers[r, r] == {True} for r in self.classes)
+        return all(self.answers[r, r] == {True} for r in self.entries)
 
     def symmetric(self) -> bool:
         """For u in K_r and v in K_r2, "v in L_r" (u ~ v) must equal
@@ -133,13 +141,36 @@ class _ClassTable:
     def transitive(self) -> bool:
         """If u ~ v for some u in K_r and v in K_r2, every w with v ~ w
         must satisfy u ~ w: L_r2 is contained in L_r.  An equivalence has
-        no such pair with r2 != r, so it needs no containment check."""
-        d = self.dfa
+        no such pair with r2 != r.  Both languages hold canonical numerals
+        only, so one numeral BFS from (r2, r) decides the containment."""
+        delta, accepting = self.dfa.delta, self.dfa.accepting
         return all(
-            subset_of(Dfa._mk(d.delta, r2, d.accepting), Dfa._mk(d.delta, r, d.accepting))
+            all(q in accepting for p, q in _numerals((delta, r2), (delta, r)) if p in accepting)
             for (r2, r), seen in self.answers.items()
             if r2 != r and True in seen
         )
+
+
+def _admission(d: Dfa) -> Generator[tuple[str, bool, str], None, _ClassTable]:
+    """Every admission row ``(axiom, holds, message)`` in ``from_dfa``'s
+    order, each computed when asked for, and then the clean automaton's
+    class table; the axioms are read even when the format check fails."""
+    well_formed, clean = _format_product(d)
+    yield "format", well_formed, "accepts words outside 'numeral B numeral'"
+    table = _ClassTable(minimize(clean))
+    yield "reflexivity", table.reflexive(), "some w B w is rejected"
+    yield "symmetry", table.symmetric(), "language differs from its swap"
+    yield "transitivity", table.transitive(), "class languages are not nested"
+    return table
+
+
+def _row(d: Dfa, axiom: str) -> bool:
+    return next(holds for name, holds, _ in _admission(d) if name == axiom)
+
+
+def check_format(d: Dfa) -> bool:
+    """True iff every accepted word has the shape ``numeral B numeral``."""
+    return _row(d, "format")
 
 
 def check_reflexive(d: Dfa) -> bool:
@@ -148,7 +179,7 @@ def check_reflexive(d: Dfa) -> bool:
     Exact: read from the class table, where it says every class relates to
     all of its own members.
     """
-    return _ClassTable(_format_clean(d)).reflexive()
+    return _row(d, "reflexivity")
 
 
 def check_symmetric(d: Dfa) -> bool:
@@ -157,65 +188,54 @@ def check_symmetric(d: Dfa) -> bool:
     Exact: read from the class table, where every pair of classes must give
     one answer each way, the same both ways.
     """
-    return _ClassTable(_format_clean(d)).symmetric()
+    return _row(d, "symmetry")
 
 
 def check_transitive(d: Dfa) -> bool:
     """True iff the decided relation is transitive.
 
     Exact: read from the class table; a class r2 with a member accepted
-    from class r must accept no more than r does (one containment check
-    per such pair).
+    from class r must accept no more than r does (one numeral BFS per such
+    pair).
     """
-    return _ClassTable(_format_clean(d)).transitive()
+    return _row(d, "transitivity")
 
 
 def admission_checks(d: Dfa) -> list[tuple[str, bool]]:
     """Every admission check by axiom name, in ``from_dfa``'s order, from one
     format product and one class table; the axioms are read on the clean
     automaton even when the format check fails."""
-    well_formed, clean = _format_product(d)
-    table = _ClassTable(minimize(clean))
-    return [
-        ("format", well_formed),
-        ("reflexivity", table.reflexive()),
-        ("symmetry", table.symmetric()),
-        ("transitivity", table.transitive()),
-    ]
+    return [(axiom, holds) for axiom, holds, _ in _admission(d)]
 
 
 class AutomaticEq:
     """A certified automatic equivalence relation.
 
-    Wraps a minimized, format-clean DFA together with a table mapping each
-    numeral-reachable state to its class and each class to its least value.
+    Wraps a minimized, format-clean DFA together with its class table.
     """
 
-    __slots__ = ("dfa", "_state_class", "_reps")
+    __slots__ = ("dfa", "_table")
 
     def __init__(self, dfa: Dfa, _trusted: bool = False):
         if not _trusted:
             raise TypeError("use AutomaticEq.from_dfa()")
         self.dfa = dfa
-        self._state_class = None
-        self._reps = None
+        self._table = None
 
     @classmethod
     def from_dfa(cls, d: Dfa) -> "AutomaticEq":
         """Validate and wrap a DFA; raises ValidationError naming the failed
         axiom otherwise."""
-        well_formed, clean = _format_product(d)
-        if not well_formed:
-            raise ValidationError("format", "accepts words outside 'numeral B numeral'")
-        clean = minimize(clean)
-        table = _ClassTable(clean)
-        if not table.reflexive():
-            raise ValidationError("reflexivity", "some w B w is rejected")
-        if not table.symmetric():
-            raise ValidationError("symmetry", "language differs from its swap")
-        if not table.transitive():
-            raise ValidationError("transitivity", "class languages are not nested")
-        return cls(clean, _trusted=True)
+        rows = _admission(d)
+        while True:
+            try:
+                axiom, holds, message = next(rows)
+            except StopIteration as done:
+                rel = cls(done.value.dfa, _trusted=True)
+                rel._table = done.value
+                return rel
+            if not holds:
+                raise ValidationError(axiom, message)
 
     @classmethod
     def _trust(cls, d: Dfa) -> "AutomaticEq":
@@ -226,35 +246,19 @@ class AutomaticEq:
         """Run the automaton on the pair word of (m, n)."""
         return self.dfa.accepts(pair_word(m, n))
 
-    def _classes(self) -> tuple[dict[int, int], tuple[int, ...]]:
-        """Group numeral-reachable states into classes of the relation.
-
-        States s and t hold related values iff delta(s, B) == delta(t, B):
-        the DFA is minimized, so equal class languages mean equal states.
-        Classes are numbered by their least value.
-        """
-        if self._state_class is None:
-            d = self.dfa
-            index: dict[int, int] = {}
-            reps: list[int] = []
-            state_class: dict[int, int] = {}
-            for (s,), least in _numerals((d.delta, d.start)).items():
-                r = d.delta[s][2]
-                if r not in index:
-                    index[r] = len(reps)
-                    reps.append(least)
-                state_class[s] = index[r]
-            self._state_class = state_class
-            self._reps = tuple(reps)
-        return self._state_class, self._reps
+    def _classes(self) -> _ClassTable:
+        """The class table, built on first use for results made by ``_trust``."""
+        if self._table is None:
+            self._table = _ClassTable(self.dfa)
+        return self._table
 
     def representatives(self) -> list[int]:
         """The least member of every class, ascending."""
-        return list(self._classes()[1])
+        return list(self._classes().reps)
 
     @property
     def class_count(self) -> int:
-        return len(self._classes()[1])
+        return len(self._classes().reps)
 
     def meet(self, other: "AutomaticEq") -> "AutomaticEq":
         """Conjunction of the two relations (product automaton)."""
@@ -268,8 +272,8 @@ class AutomaticEq:
         connected components.  One numeral BFS through both automata finds
         every edge with its least shared value as a witness.
         """
-        left_class, left_reps = self._classes()
-        right_class, right_reps = other._classes()
+        left, right = self._classes(), other._classes()
+        left_class, right_class = left.state_class, right.state_class
         least: dict[tuple[int, int], int] = {}
         for (p, q), v in _numerals(
             (self.dfa.delta, self.dfa.start), (other.dfa.delta, other.dfa.start)
@@ -290,8 +294,8 @@ class AutomaticEq:
             blocks[c].append(i)
         return JoinCertificate(
             result=self.coarsen(blocks),
-            left_representatives=left_reps,
-            right_representatives=right_reps,
+            left_representatives=left.reps,
+            right_representatives=right.reps,
             edges=tuple(edges),
             witnesses={e: least[e] for e in edges},
             left_components=left_components,
@@ -304,25 +308,25 @@ class AutomaticEq:
     def coarsen(self, blocks: Sequence[Iterable[int]]) -> "AutomaticEq":
         """Merge whole classes: ``blocks`` partitions the class indices, and
         the result relates m, n iff their classes fall in the same block."""
-        state_class, reps = self._classes()
+        table = self._classes()
         block_of: dict[int, int] = {}
         for b, block in enumerate(blocks):
             block = list(block)
             if not block:
                 raise ValueError(f"block {b} is empty")
             for idx in block:
-                if idx in block_of or not 0 <= idx < len(reps):
+                if idx in block_of or not 0 <= idx < len(table.reps):
                     raise ValueError(f"bad class grouping at index {idx}")
                 block_of[idx] = b
-        if len(block_of) != len(reps):
+        if len(block_of) != len(table.reps):
             raise ValueError("grouping must cover every class exactly once")
-        key_of = {s: block_of[c] for s, c in state_class.items()}
+        key_of = {s: block_of[c] for s, c in table.state_class.items()}
         delta01 = tuple((row[0], row[1]) for row in self.dfa.delta)
         return AutomaticEq._trust(kernel_pair_dfa(delta01, self.dfa.start, key_of))
 
     def restrict(self, n: int) -> Partition:
         """Materialize the relation on {0..n-1} for cross-checking."""
-        state_class, _ = self._classes()
+        state_class = self._classes().state_class
         d = self.dfa
         return Partition.from_key(n, lambda x: state_class[d.run(binary(x))])
 
@@ -342,12 +346,9 @@ class JoinCertificate:
     def cutoff(self) -> int:
         """A bound strictly above every representative and witness; restricting
         both sides to at least this many values makes the join exact."""
-        vals = (
-            list(self.left_representatives)
-            + list(self.right_representatives)
-            + list(self.witnesses.values())
-        )
-        return max(vals) + 1
+        return max(chain(
+            self.left_representatives, self.right_representatives, self.witnesses.values()
+        )) + 1
 
 
 # canonicality tracker used inside kernel_pair_dfa: 0 empty, 1 "0", 2 "1...", 3 dead

@@ -238,10 +238,9 @@ def cmd_tm(args) -> int:
         return 2
     machine = tmlab.load_machine(args.machine)
     if args.op == "run":
-        traj = tmlab.trajectory(machine, args.input, args.bound)
-        final = traj[-1]
+        steps, final = tmlab.simulate(machine, args.input, args.bound)
         halted = final.state in machine.halting
-        print(f"steps: {len(traj) - 1}{' (halted)' if halted else ' (still running)'}")
+        print(f"steps: {steps}{' (halted)' if halted else ' (still running)'}")
         print(f"state: {final.state}")
         print(f"tape:  {final.tape}")
         print(f"head:  {final.head}")
@@ -278,12 +277,20 @@ def _resolve_predicate(spec: str):
     )
 
 
-def cmd_family(args) -> int:
+def _family_spec(args) -> cs.SingularFamilySpec | None:
+    """The spec of ``--pred`` and ``--cuts``; None if ``--k`` is out of range."""
     pred, pname = _resolve_predicate(args.pred)
     cuts = tuple(int(tok) for tok in args.cuts.split(","))
     spec = cs.SingularFamilySpec(pred, cuts, name=pname)
     if args.k >= len(cuts):
         print(f"--k must be below the number of cuts ({len(cuts)})", file=sys.stderr)
+        return None
+    return spec
+
+
+def cmd_family(args) -> int:
+    spec = _family_spec(args)
+    if spec is None:
         return 2
     result = cs.truncated_family_meet(spec, args.k)
     if args.restrict:
@@ -324,19 +331,17 @@ def demo_meet_growth(args) -> int:
 
 
 def demo_family_meet(args) -> int:
-    pred, pname = _resolve_predicate(args.pred)
-    cuts = tuple(int(tok) for tok in args.cuts.split(","))
-    spec = cs.SingularFamilySpec(pred, cuts, name=pname)
-    if args.k >= len(cuts):
-        print(f"--k must be below the number of cuts ({len(cuts)})", file=sys.stderr)
+    spec = _family_spec(args)
+    if spec is None:
         return 2
     result = cs.truncated_family_meet(spec, args.k)
-    print(f"meet of the singular family for predicate {pname!r}, cuts {cuts}, up to k={args.k}:")
+    print(f"meet of the singular family for predicate {spec.name!r}, cuts {spec.cuts}, "
+          f"up to k={args.k}:")
     sys.stdout.write(result.to_text())
     expected = cs.closed_form_meet(spec, args.k)
     ok = result == expected
-    cut = cuts[args.k]
-    ok &= all(result.related(x, cut) == pred(x) for x in range(cut))
+    cut = spec.cuts[args.k]
+    ok &= all(result.related(x, cut) == spec.predicate(x) for x in range(cut))
     print(f"[{'PASS' if ok else 'FAIL'}] equals the closed form: predicate members "
           f"below cut {cut} plus the upper set")
     return 0 if ok else 1

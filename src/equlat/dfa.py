@@ -10,7 +10,7 @@ and immutable; every function here returns fresh values.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable
 
 ALPHABET = ("0", "1", "B")
@@ -33,6 +33,14 @@ def is_canonical_number(word: str) -> bool:
     return word == "0" or (word.startswith("1") and set(word) <= {"0", "1"})
 
 
+def _states_below(n: int, states: Iterable) -> bool:
+    """True iff every one of ``states`` is an int in range(n), for n >= 1."""
+    states = list(states)
+    return {int}.issuperset(map(type, states)) and (
+        0 <= min(states, default=0) and max(states, default=0) < n
+    )
+
+
 class Dfa:
     """Deterministic automaton; ``delta[state][symbol_index]`` is the target."""
 
@@ -43,13 +51,13 @@ class Dfa:
         n = len(delta)
         if n == 0:
             raise ValueError("need at least one state")
-        for s, row in enumerate(delta):
-            if len(row) != 3 or any(not 0 <= t < n for t in row):
-                raise ValueError(f"bad transition row for state {s}")
-        if not 0 <= start < n:
+        if set(map(len, delta)) != {3} or not _states_below(n, chain.from_iterable(delta)):
+            s = next(s for s, row in enumerate(delta) if len(row) != 3 or not _states_below(n, row))
+            raise ValueError(f"bad transition row for state {s}")
+        if not _states_below(n, (start,)):
             raise ValueError("start state out of range")
         accepting = frozenset(accepting)
-        if any(not 0 <= s < n for s in accepting):
+        if not _states_below(n, accepting):
             raise ValueError("accepting state out of range")
         self.delta = delta
         self.start = start
@@ -129,11 +137,6 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
 
 def is_empty(d: Dfa) -> bool:
     return not any(s in d.accepting for s in reachable_states(d))
-
-
-def subset_of(a: Dfa, b: Dfa) -> bool:
-    """True iff L(a) is a subset of L(b)."""
-    return is_empty(product(a, b, lambda x, y: x and not y))
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

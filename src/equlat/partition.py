@@ -390,21 +390,25 @@ class SmallEq:
     __slots__ = ("threshold", "labels", "tail_label")
 
     def __init__(self, threshold: int, labels: Sequence[int], tail_label: int):
-        labels = list(labels)
-        if threshold < 0 or len(labels) != threshold:
+        keys = [*labels, tail_label]
+        if threshold < 0 or len(keys) != threshold + 1:
             raise InvalidPartition("labels must cover exactly {0..threshold-1}")
-        # Shrink: an explicit element just below the threshold that sits in the
-        # tail class is redundant.
-        while threshold > 0 and labels[threshold - 1] == tail_label:
+        self._canonical(Partition.from_key(threshold + 1, keys.__getitem__))
+
+    def _canonical(self, p: Partition) -> "SmallEq":
+        """Fill in from ``p`` on {0..t}, t standing for every number >= t,
+        less the redundant trailing members of the tail class (its largest
+        ones, so least-member labels stay least)."""
+        labels = p.labels
+        threshold = len(labels) - 1
+        while threshold > 0 and labels[threshold - 1] == labels[-1]:
             threshold -= 1
-            labels.pop()
-        relabel: dict[int, int] = {}
-        for x, lab in enumerate(labels):
-            relabel.setdefault(lab, x)
-        canon_tail = relabel.setdefault(tail_label, threshold)
-        self.threshold = threshold
-        self.labels = tuple(relabel[lab] for lab in labels)
-        self.tail_label = canon_tail
+        self.threshold, self.labels, self.tail_label = threshold, labels[:threshold], labels[-1]
+        return self
+
+    def _padded(self, threshold: int) -> Partition:
+        """This relation on {0..threshold}, for a threshold at least its own."""
+        return Partition._mk(self.labels + (self.tail_label,) * (threshold + 1 - self.threshold))
 
     @classmethod
     def top(cls) -> "SmallEq":
@@ -435,41 +439,26 @@ class SmallEq:
 
     def tail_members_below(self) -> tuple[int, ...]:
         """The finite part of the tail class (members below the threshold)."""
-        return tuple(
-            x for x in range(self.threshold) if self.labels[x] == self.tail_label
-        )
+        return tuple(x for x, lab in enumerate(self.labels) if lab == self.tail_label)
 
     def is_singular(self) -> bool:
         """True iff every class other than the (infinite) tail is a singleton."""
-        counts: dict[int, int] = {}
-        for lab in self.labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        return all(c == 1 for lab, c in counts.items() if lab != self.tail_label)
+        others = [lab for lab in self.labels if lab != self.tail_label]
+        return len(others) == len(set(others))
 
     def meet(self, other: "SmallEq") -> "SmallEq":
         """Exact meet; the tails intersect, so the result is again a SmallEq."""
         threshold = max(self.threshold, other.threshold)
-        pair_ids: dict[tuple[int, int], int] = {}
-
-        def pid(key: tuple[int, int]) -> int:
-            return pair_ids.setdefault(key, len(pair_ids))
-
-        labels = [pid((self.class_of(x), other.class_of(x))) for x in range(threshold)]
-        tail = pid((self.tail_label, other.tail_label))
-        return SmallEq(threshold, labels, tail)
+        meet = self._padded(threshold).meet(other._padded(threshold))
+        return object.__new__(SmallEq)._canonical(meet)
 
     def restrict(self, n: int) -> Partition:
         """Materialize the relation on {0..n-1} as an explicit Partition."""
         return Partition.from_key(n, self.class_of)
 
     def to_text(self) -> str:
-        lines = [f"threshold: {self.threshold}", f"tail: {self.tail_label}"]
-        groups: dict[int, list[int]] = {}
-        for x, lab in enumerate(self.labels):
-            groups.setdefault(lab, []).append(x)
-        for lab in sorted(groups):
-            lines.append("class: " + " ".join(str(x) for x in groups[lab]))
-        return "\n".join(lines) + "\n"
+        head = f"threshold: {self.threshold}\ntail: {self.tail_label}\n"
+        return head + (Partition._mk(self.labels).to_text() if self.threshold else "")
 
     @classmethod
     def from_text(cls, text: str) -> "SmallEq":

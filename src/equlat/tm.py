@@ -177,17 +177,23 @@ def trajectory(m: TmSpec, input_str: str, max_steps: int) -> list[Configuration]
     return out
 
 
-def halt_step(m: TmSpec, input_str: str, max_steps: int) -> int | None:
-    """Direct simulation: the step at which the machine halts, if within
-    bound.  Only the current configuration is kept."""
+def simulate(m: TmSpec, input_str: str, max_steps: int) -> tuple[int, Configuration]:
+    """Direct simulation keeping one configuration: the steps taken,
+    min(halting step, max_steps), and the configuration reached."""
     if max_steps < 0:
         raise ValueError(f"step bound must be non-negative, got {max_steps}")
     c = init_config(m, input_str)
     for t in range(max_steps):
         if c.state in m.halting:
-            return t
+            return t, c
         c = step(m, c)
-    return max_steps if c.state in m.halting else None
+    return max_steps, c
+
+
+def halt_step(m: TmSpec, input_str: str, max_steps: int) -> int | None:
+    """The step at which the machine halts, if within bound."""
+    steps, c = simulate(m, input_str, max_steps)
+    return steps if c.state in m.halting else None
 
 
 # -- configuration coding ----------------------------------------------------

@@ -481,17 +481,12 @@ def tm_checks(step_bound: int = 1000) -> list[CheckResult]:
     out.append(CheckResult("point packing is invertible", pack_ok, "with 0 as the sink"))
 
     machines = list(zoo.values())
-    names = list(zoo.keys())
     ok10 = True
     detail = []
     prev: set[int] | None = None
     for k in (1, 10, 100):
         part = tmlab.nonhalt_family_meet(k, machines)
-        big = (
-            set(part.non_singleton_class())
-            if not all(len(c) == 1 for c in part.classes())
-            else set()
-        )
+        big = next((set(c) for c in part.classes() if len(c) >= 2), set())
         expect = {
             i for i, m in enumerate(machines) if tmlab.halt_step(m, "", k) is None
         }

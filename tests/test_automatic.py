@@ -567,3 +567,164 @@ def test_numerals_keep_zero_least_when_reached_again():
     delta = ((1, 2, 0), (1, 1, 0), (1, 2, 0))
     least = _numerals((delta, 0))
     assert list(least.items()) == [((1,), 0), ((2,), 1)]
+
+
+# -- the one class table against the loops it replaced --------------------------
+
+_OLD_MESSAGES = {
+    "format": "accepts words outside 'numeral B numeral'",
+    "reflexivity": "some w B w is rejected",
+    "symmetry": "language differs from its swap",
+    "transitivity": "class languages are not nested",
+}
+
+
+def _old_subset_of(a, b):
+    """The containment test transitivity used: a product and a reachability
+    scan over the whole pair alphabet."""
+    from equlat.dfa import is_empty
+
+    return is_empty(product(a, b, lambda x, y: x and not y))
+
+
+def _old_classes(d):
+    """The class loop ``AutomaticEq._classes`` ran on its own numeral BFS."""
+    from equlat.automatic import _numerals
+
+    index, reps, state_class = {}, [], {}
+    for (s,), least in _numerals((d.delta, d.start)).items():
+        r = d.delta[s][2]
+        if r not in index:
+            index[r] = len(reps)
+            reps.append(least)
+        state_class[s] = index[r]
+    return state_class, tuple(reps)
+
+
+def _old_axioms(clean):
+    """Reflexivity, symmetry and transitivity as the class table read them
+    before, with one ``_old_subset_of`` product per overlapping class pair."""
+    from equlat.automatic import _numerals
+
+    class_of = [row[2] for row in clean.delta]
+    classes = {class_of[s] for (s,) in _numerals((clean.delta, clean.start))}
+    answers = {}
+    for r in classes:
+        for (p, q) in _numerals((clean.delta, clean.start), (clean.delta, r)):
+            answers.setdefault((class_of[p], r), set()).add(q in clean.accepting)
+    at = lambda s: Dfa(clean.delta, s, clean.accepting)  # noqa: E731
+    return [
+        ("reflexivity", all(answers[r, r] == {True} for r in classes)),
+        ("symmetry", all(
+            len(seen) == 1 and seen == answers[r, r2] for (r2, r), seen in answers.items()
+        )),
+        ("transitivity", all(
+            _old_subset_of(at(r2), at(r))
+            for (r2, r), seen in answers.items()
+            if r2 != r and True in seen
+        )),
+    ]
+
+
+def _old_admission(d):
+    """The parent's rows, and its ``from_dfa`` outcome: the first failing
+    axiom with its message, or the clean automaton's fields."""
+    from equlat.automatic import _format_product
+
+    well_formed, clean = _format_product(d)
+    clean = minimize(clean)
+    rows = [("format", well_formed)] + _old_axioms(clean)
+    failed = next((axiom for axiom, holds in rows if not holds), None)
+    outcome = (failed, _OLD_MESSAGES[failed]) if failed else (clean.delta, clean.start, clean.accepting)
+    return rows, outcome, clean
+
+
+def _perturbed_dfas(seed, count):
+    """Kernel and matrix pair automata from small classifiers, each with one
+    accepting state flipped or one edge (digit or separator) retargeted."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        delta, start, key = _small_classifier(rng)
+        if i % 2:
+            d = kernel_pair_dfa(delta, start, key)
+        else:
+            realized = sorted({key[_classify(delta, start, v)] for v in range(64)})
+            kind = rng.choice(("equivalence", "random", "symmetric-reflexive", "preorder"))
+            matrix = _feature_matrix(kind, realized, rng)
+            d = kernel_pair_dfa(delta, start, key, accept=lambda a, b, m=matrix: m.get((a, b), False))
+        rows = [list(row) for row in d.delta]
+        accepting = set(d.accepting)
+        roll = rng.random()
+        if roll < 0.3:
+            accepting ^= {rng.randrange(len(rows))}
+        elif roll < 0.6:
+            rows[rng.randrange(len(rows))][rng.randrange(3)] = rng.randrange(len(rows))
+        out.append(Dfa(rows, d.start, accepting))
+    return out
+
+
+def _table_inputs():
+    from equlat.automatic import corpus as fresh_corpus
+
+    controls = [first_bit_differs_dfa(), shorter_than_dfa(), shared_feature_dfa()]
+    corpus_dfas = [rel.dfa for rel in fresh_corpus.__wrapped__().values()]
+    return corpus_dfas + controls + _perturbed_dfas(20261019, 160)
+
+
+class TestClassTableMatchesOldLoops:
+    def test_inputs_fail_every_axiom(self):
+        outcomes = {_old_admission(d)[1][0] for d in _table_inputs()}
+        assert {"format", "reflexivity", "symmetry", "transitivity"} <= outcomes
+        assert any(type(o) is tuple for o in outcomes)  # and some are admitted
+
+    def test_rows_outcomes_and_representatives(self):
+        from equlat.automatic import admission_checks, check_format
+
+        separate = (check_format, check_reflexive, check_symmetric, check_transitive)
+        for d in _table_inputs():
+            rows, outcome, clean = _old_admission(d)
+            assert admission_checks(d) == rows
+            assert [check(d) for check in separate] == [holds for _, holds in rows]
+            try:
+                rel = AutomaticEq.from_dfa(d)
+            except ValidationError as exc:
+                got = (exc.axiom, str(exc).split(": ", 1)[1])
+            else:
+                got = (rel.dfa.delta, rel.dfa.start, rel.dfa.accepting)
+                state_class, reps = _old_classes(clean)
+                assert rel._classes().state_class == state_class
+                assert rel.representatives() == list(reps)
+            assert got == outcome
+
+    def test_trusted_results_build_their_table_once(self):
+        rels = list(corpus.__wrapped__().values())
+        for a in rels:
+            admitted = AutomaticEq.from_dfa(a.dfa)
+            assert admitted._table is not None  # the certified one, kept
+            for b in rels[:4]:
+                meet = a.meet(b)
+                assert meet._table is None
+                table = meet._classes()
+                assert meet._classes() is table
+                assert "answers" not in vars(table)  # no axiom BFS for classes
+                assert (table.state_class, table.reps) == _old_classes(meet.dfa)
+
+    def test_join_certificates_on_admitted_relations(self):
+        admitted = []
+        for d in _table_inputs():
+            try:
+                admitted.append(AutomaticEq.from_dfa(d))
+            except ValidationError:
+                pass
+        assert len(admitted) > 20
+        rng = random.Random(3)
+        for _ in range(60):
+            a, b = rng.choice(admitted), rng.choice(admitted)
+            expected = _pairwise_join(a, b)
+            got = _certificate_fields(a.join_certificate(b))
+            result, want = got.pop("result"), expected.pop("result")
+            assert got == expected
+            assert (result.delta, result.start, result.accepting) == (
+                want.delta, want.start, want.accepting
+            )

@@ -201,6 +201,21 @@ class TestTmCommands:
         assert "steps: 3 (halted)" in out
         assert "tape:  >111" in out
 
+    def test_run_keeps_one_configuration(self, capsys):
+        # builder grows its tape by a cell per step; keeping the whole run
+        # peaked near 150 MB at this bound.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "tm", "run", "builder", "", "--bound", "16000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.startswith("steps: 16000 (still running)\nstate: s\n")
+        assert peak < 1_000_000
+
     def test_probe_agrees(self, capsys):
         code, out, _ = run(capsys, "tm", "probe", "increment", "11", "--bound", "50")
         assert code == 0
@@ -274,6 +289,9 @@ class TestFamilyAndDemos:
             capsys, "demo", "family-meet", "--pred", "prime", "--cuts", "3,6,12", "--k", "2"
         )
         assert code == 0 and "[PASS]" in out
+        assert out.startswith(
+            "meet of the singular family for predicate 'prime', cuts (3, 6, 12), up to k=2:\n"
+        )
 
 
 class TestVerifyCommand:
@@ -354,6 +372,13 @@ class TestExitContract:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and "non-negative" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("group", [("demo", "family-meet"), ("family", "meet")])
+    def test_family_index_beyond_the_cuts(self, capsys, group):
+        code, out, err = run(capsys, *group, "--pred", "even", "--cuts", "2,4,8", "--k", "3")
+        assert code == 2
+        assert err == "--k must be below the number of cuts (3)\n"
         assert out == ""
 
     @pytest.mark.parametrize("k", ["0", "-3"])

@@ -19,7 +19,6 @@ from equlat.dfa import (
     pair_word,
     product,
     reachable_states,
-    subset_of,
 )
 
 
@@ -71,6 +70,12 @@ def test_product_and_emptiness():
     assert is_empty(product(a, b, operator.and_))
     union = product(a, b, operator.or_)
     assert union.accepts("0B0") and union.accepts("1B1") and not union.accepts("0B1")
+
+
+def subset_of(a, b):
+    """True iff L(a) is a subset of L(b): the containment test the class
+    table's transitivity check replaced, kept here as its oracle."""
+    return is_empty(product(a, b, lambda x, y: x and not y))
 
 
 def test_subset_and_equivalence():
@@ -134,6 +139,12 @@ def test_dfa_validation():
         ([(0, 0, 0)], -1, set(), "start state out of range"),
         ([(0, 0, 0)], 0, {1}, "accepting state out of range"),
         ([(0, 0, 0)], 0, {0, -1}, "accepting state out of range"),
+        # in range but not ints: each used to pass and fail later in run
+        ([(0.5, 0, 0)], 0, set(), "bad transition row for state 0"),
+        ([(1.0, 0, 0), (0, 0, 0)], 0, set(), "bad transition row for state 0"),
+        ([(0, 0, 0)], 0.0, set(), "start state out of range"),
+        ([(0, 0, 0)], 0, {0.0}, "accepting state out of range"),
+        ([(0, "0", 0)], 0, set(), "bad transition row for state 0"),  # was a TypeError
     ]
     for delta, start, accepting, message in cases:
         with pytest.raises(ValueError) as exc:
@@ -315,7 +326,7 @@ class TestKernelMatchesOldLoops:
         separate = (am.check_format, am.check_reflexive, am.check_symmetric, am.check_transitive)
         for d in _kernel_inputs():
             assert am.check_format(d) == _old_check_format(d)
-            assert _fields(am._format_clean(d)) == _fields(_old_format_clean(d))
+            assert _fields(minimize(am._format_product(d)[1])) == _fields(_old_format_clean(d))
             rows = am.admission_checks(d)
             assert rows == [(a, check(d)) for a, check in zip(axioms, separate)]
             # from_dfa names the first failing row, or admits the clean automaton.

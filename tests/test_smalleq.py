@@ -228,3 +228,74 @@ def test_text_negative_elements_and_tails_rejected():
         SmallEq.from_text("threshold: 2\ntail: 2\nclass: -5\n")
     with pytest.raises(ValueError, match="tail label -3 does not name a class"):
         SmallEq.from_text("threshold: 2\ntail: -3\nclass: 0 1\n")
+
+
+# -- the partition-kernel canonical form and meet against the old loops ---------
+
+def _old_canonical(threshold, labels, tail_label):
+    """The constructor's old shrink-and-relabel, as (threshold, labels, tail)."""
+    labels = list(labels)
+    while threshold > 0 and labels[threshold - 1] == tail_label:
+        threshold -= 1
+        labels.pop()
+    relabel = {}
+    for x, lab in enumerate(labels):
+        relabel.setdefault(lab, x)
+    canon_tail = relabel.setdefault(tail_label, threshold)
+    return threshold, tuple(relabel[lab] for lab in labels), canon_tail
+
+
+def _old_meet(a, b):
+    """The old meet: pair ids over max(threshold) elements, then the old
+    constructor."""
+    threshold = max(a.threshold, b.threshold)
+    pair_ids = {}
+    pid = lambda key: pair_ids.setdefault(key, len(pair_ids))  # noqa: E731
+    labels = [pid((a.class_of(x), b.class_of(x))) for x in range(threshold)]
+    return _old_canonical(threshold, labels, pid((a.tail_label, b.tail_label)))
+
+
+def _fields(e):
+    return e.threshold, e.labels, e.tail_label
+
+
+def _raw(fields):
+    """A SmallEq holding the given fields, without the constructor."""
+    e = object.__new__(SmallEq)
+    e.threshold, e.labels, e.tail_label = fields
+    return e
+
+
+def test_canonical_form_and_meet_match_old_loops():
+    rng = random.Random(20261019)
+    made = []
+    for _ in range(600):
+        threshold = rng.randrange(0, 25)
+        spread = rng.randrange(1, threshold + 3)
+        ids = [rng.randrange(spread) for _ in range(threshold)]
+        tail = rng.randrange(spread + 2)
+        if threshold and rng.random() < 0.3:  # a run of tail members at the top
+            cut = rng.randrange(threshold)
+            ids[cut:] = [tail] * (threshold - cut)
+        got = SmallEq(threshold, ids, tail)
+        assert _fields(got) == _old_canonical(threshold, ids, tail)
+        made.append(got)
+    assert any(e.threshold == 0 for e in made) and any(e.is_singular() for e in made)
+    for _ in range(1500):
+        a, b = rng.choice(made), rng.choice(made)
+        assert _fields(a.meet(b)) == _old_meet(a, b)
+
+
+def test_truncated_family_meets_match_old_meet():
+    from equlat import constructions as cs
+
+    rng = random.Random(20261020)
+    preds = (cs.is_even, cs.is_prime, lambda x: x % 3 == 0, lambda x: x in (1, 4, 9, 16))
+    for _ in range(200):
+        cuts = tuple(sorted(rng.sample(range(1, 200), rng.randint(1, 7))))
+        spec = cs.SingularFamilySpec(rng.choice(preds), cuts)
+        k = rng.randrange(len(cuts))
+        acc = cs.family_member(spec, 0)
+        for i in range(1, k + 1):
+            acc = _raw(_old_meet(acc, cs.family_member(spec, i)))
+        assert _fields(cs.truncated_family_meet(spec, k)) == _fields(acc)
