@@ -324,11 +324,13 @@ class AutomaticEq:
         delta01 = tuple((row[0], row[1]) for row in self.dfa.delta)
         return AutomaticEq._trust(kernel_pair_dfa(delta01, self.dfa.start, key_of))
 
+    def key(self, x: int) -> int:
+        """The class number of x: the relation is this key's kernel."""
+        return self._classes().state_class[self.dfa.run(binary(x))]
+
     def restrict(self, n: int) -> Partition:
         """Materialize the relation on {0..n-1} for cross-checking."""
-        state_class = self._classes().state_class
-        d = self.dfa
-        return Partition.from_key(n, lambda x: state_class[d.run(binary(x))])
+        return Partition.from_key(n, self.key)
 
     def __repr__(self) -> str:
         return f"AutomaticEq({self.dfa!r})"

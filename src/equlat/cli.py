@@ -196,8 +196,20 @@ def _build_expr(node: ast.expr) -> dc.DeciderEq:
     raise ValueError(f"cannot interpret {ast.dump(node)}")
 
 
+# Limits on the work a command may start, each checked before any of it.
 # `decider check` tabulates the relation on {0..B-1}: B^2 tests and memory.
 MAX_CHECK_BOUND = 512
+# `tm run` takes up to B steps.
+MAX_RUN_BOUND = 100_000
+# A halting probe keeps one coded point per step, each a bit per tape cell
+# long, so its time and memory grow as B^2 (`tm probe`, the join-undecidable
+# demo and `verify tm`).
+MAX_PROBE_BOUND = 4_000
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} {value} is above the limit {limit}")
 
 
 def cmd_decider(args) -> int:
@@ -215,8 +227,7 @@ def cmd_decider(args) -> int:
         _emit(rel.restrict(args.values[0]).to_text(), args.out)
         return 0
     if args.op == "check":
-        if args.bound > MAX_CHECK_BOUND:
-            raise ValueError(f"check bound {args.bound} is above the limit {MAX_CHECK_BOUND}")
+        _check_limit("check bound", args.bound, MAX_CHECK_BOUND)
         ok = dc.is_equivalence_sampled(rel, args.bound)
         print(f"[{'PASS' if ok else 'FAIL'}] equivalence axioms on {{0..{args.bound - 1}}}")
         print(f"cost note: {rel.cost_note}")
@@ -236,6 +247,7 @@ def cmd_tm(args) -> int:
     if not args.machine:
         print("a machine name or file is required", file=sys.stderr)
         return 2
+    _check_limit("step bound", args.bound, MAX_RUN_BOUND if args.op == "run" else MAX_PROBE_BOUND)
     machine = tmlab.load_machine(args.machine)
     if args.op == "run":
         steps, final = tmlab.simulate(machine, args.input, args.bound)
@@ -303,6 +315,7 @@ def cmd_family(args) -> int:
 # -- demos ----------------------------------------------------------------------
 
 def demo_join_undecidable(args) -> int:
+    _check_limit("step bound", args.bound, MAX_PROBE_BOUND)
     print("bounded shadow of an undecidable join:")
     print("the even-clock and odd-clock step closures are cheap to decide,")
     print("but chaining them answers bounded halting.")
@@ -386,6 +399,7 @@ DEMOS: dict[str, Callable] = {
 
 
 def cmd_verify(args) -> int:
+    _check_limit("tm step bound", args.tm_bound, MAX_PROBE_BOUND)
     if args.suite == "tm":
         results = vf.tm_checks(step_bound=args.tm_bound)
     else:

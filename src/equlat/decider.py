@@ -29,8 +29,8 @@ class NotAnEquivalence(ValueError):
 class DeciderEq:
     """A decision procedure (m, n) -> bool plus a free-text cost note.
 
-    ``key`` is None for a black-box procedure; for a relation built with
-    ``from_key`` it is the class key whose kernel the procedure decides.
+    ``key`` is the class key whose kernel the procedure decides, as on the
+    other kinds (``from_key(rel.key)`` lifts them), or None for a black box.
     """
 
     __slots__ = ("_fn", "key", "cost_note", "universe_hint")

@@ -425,13 +425,14 @@ class SmallEq:
         labels = [threshold if x in members else x for x in range(threshold)]
         return cls(threshold, labels, threshold)
 
-    def class_of(self, x: int) -> int:
+    def key(self, x: int) -> int:
+        """The least member of x's class: the relation is this key's kernel."""
         if x < 0:
             raise ValueError("naturals only")
         return self.labels[x] if x < self.threshold else self.tail_label
 
     def related(self, x: int, y: int) -> bool:
-        return self.class_of(x) == self.class_of(y)
+        return self.key(x) == self.key(y)
 
     @property
     def class_count(self) -> int:
@@ -454,7 +455,7 @@ class SmallEq:
 
     def restrict(self, n: int) -> Partition:
         """Materialize the relation on {0..n-1} as an explicit Partition."""
-        return Partition.from_key(n, self.class_of)
+        return Partition.from_key(n, self.key)
 
     def to_text(self) -> str:
         head = f"threshold: {self.threshold}\ntail: {self.tail_label}\n"

@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 from importlib import resources
 
-from .decider import DeciderEq, RelatedWitness, bounded_join, verify_chain
+from .decider import DeciderEq, RelatedWitness, bounded_join, singular_from_predicate, verify_chain
 from .partition import Partition
 
 ENDMARKER = ">"
@@ -598,10 +598,7 @@ def nonhalt_eq(n: int) -> DeciderEq:
         m = decode_tm(x)
         return m is not None and halt_step(m, "", n) is None
 
-    return DeciderEq.from_key(
-        lambda x: "run" if still_running(x) else x,
-        cost_note=f"bounded simulation, fixed {n} steps",
-    )
+    return singular_from_predicate(still_running, f"bounded simulation, fixed {n} steps")
 
 
 def nonhalt_family_meet(k: int, machines: Sequence[TmSpec]) -> Partition:

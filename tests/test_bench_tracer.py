@@ -77,3 +77,36 @@ def test_traced_path_answers_as_the_plain_one():
     assert not hasattr(am.check_transitive, "__wrapped__")
     assert not hasattr(dc.bounded_join, "__wrapped__")
     assert not hasattr(am.AutomaticEq.__dict__["from_dfa"].__func__, "__wrapped__")
+
+
+def _restrictions():
+    """Each kind's restrict on {0..n-1}: SmallEq, automatic (corpus and a
+    meet), and keyed and black-box deciders, looked up through their modules."""
+    from equlat import automatic as am
+    from equlat import decider as dc
+    from equlat.partition import SmallEq
+
+    relations = [
+        SmallEq.singular({1, 3}, 5),
+        am.corpus()["mod3"],
+        am.singleton_family(5).meet(am.corpus()["parity"]),
+        dc.parity_decider(),
+        dc.DeciderEq(lambda m, n: m % 3 == n % 3),
+    ]
+    return [rel.restrict(n) for rel in relations for n in (1, 7, 64)]
+
+
+def test_traced_restrict_answers_as_the_plain_one():
+    plain = _restrictions()
+    tr = _load_tracer().Tracer()
+    tr.install()
+    try:
+        tr.active = True
+        traced = _restrictions()
+        tr.active = False
+    finally:
+        tr.uninstall()
+    assert traced == plain
+    assert {"partition.smalleq_restrict", "automatic.restrict", "decider.restrict"} <= set(tr.names)
+    assert tr.names.count("decider.restrict") == 6
+    assert tr.counts["partition.elements"] == 1 + 7 + 64  # the SmallEq restrictions

@@ -3,8 +3,16 @@ import operator
 import pytest
 
 from equlat import decider as dc
+from equlat import tm as tmlab
+from equlat import verify as vf
 from equlat.automatic import corpus, shared_feature_dfa
-from equlat.cli import MAX_CHECK_BOUND, main, parse_decider_expr
+from equlat.cli import (
+    MAX_CHECK_BOUND,
+    MAX_PROBE_BOUND,
+    MAX_RUN_BOUND,
+    main,
+    parse_decider_expr,
+)
 from equlat.dfa import Dfa, dfa_from_text, dfa_to_text, equivalent, product
 from equlat.partition import Partition, SmallEq
 
@@ -356,6 +364,45 @@ class TestExitContract:
         assert code == 2
         assert err.startswith("error: ") and f"limit {MAX_CHECK_BOUND}" in err
         assert out == "" and tabulated == []
+
+    @pytest.mark.parametrize(
+        "argv,limit,stepping",
+        [
+            (("tm", "run", "spin", ""), MAX_RUN_BOUND, ("simulate",)),
+            (("tm", "probe", "builder", ""), MAX_PROBE_BOUND, ("halting_probe", "halt_step")),
+            (
+                ("demo", "join-undecidable", "--machine", "builder"),
+                MAX_PROBE_BOUND,
+                ("halting_probe", "halt_step"),
+            ),
+        ],
+    )
+    def test_step_bound_limit(self, capsys, monkeypatch, argv, limit, stepping):
+        # The stepping is stubbed to record its bound and run 3 steps.
+        bounds = []
+        for name in stepping:
+            real = getattr(tmlab, name)
+            monkeypatch.setattr(
+                tmlab, name, lambda m, inp, bound, real=real: bounds.append(bound) or real(m, inp, 3)
+            )
+        code, out, err = run(capsys, *argv, "--bound", str(limit))
+        assert code == 0 and err == "" and bounds == [limit] * len(stepping)
+        bounds.clear()
+        code, out, err = run(capsys, *argv, "--bound", str(limit + 1))
+        assert code == 2 and out == "" and bounds == []
+        assert err == f"error: step bound {limit + 1} is above the limit {limit}\n"
+
+    def test_verify_tm_bound_limit(self, capsys, monkeypatch):
+        bounds = []
+        monkeypatch.setattr(vf, "tm_checks", lambda step_bound: bounds.append(step_bound) or [])
+        code, out, _ = run(capsys, "verify", "tm", "--tm-bound", str(MAX_PROBE_BOUND))
+        assert code == 0 and out == "0/0 checks passed\n" and bounds == [MAX_PROBE_BOUND]
+        bounds.clear()
+        code, out, err = run(capsys, "verify", "tm", "--tm-bound", str(MAX_PROBE_BOUND + 1))
+        assert code == 2 and out == "" and bounds == []
+        assert err == (
+            f"error: tm step bound {MAX_PROBE_BOUND + 1} is above the limit {MAX_PROBE_BOUND}\n"
+        )
 
     def test_default_sample_bound(self, capsys):
         code, out, _ = run(capsys, "decider", "check", "parity")

@@ -16,6 +16,7 @@ from equlat.partition import (
     Partition,
     UniverseMismatch,
     all_partitions,
+    random_partition,
     singular_complement_valid,
 )
 
@@ -323,6 +324,79 @@ class TestTextFormat:
     def test_non_numeric_elements(self):
         with pytest.raises(ValueError, match="line 1"):
             Partition.from_text("class: zero\n")
+
+    def test_seeded_mutations(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(4000):
+            e = random_partition(rng.randint(1, 10), rng)
+            text = _mutate_text(rng, e.to_text())
+            bad = _first_bad_line(text)
+            try:
+                p = Partition.from_text(text)
+            except ValueError as exc:  # only ValueError may escape
+                message = str(exc)
+                assert message.startswith(f"line {bad}: ") == (bad is not None), (text, message)
+                outcomes.add(message.split(":")[1] if bad else type(exc).__name__)
+                continue
+            assert bad is None
+            lines = filter(None, map(str.strip, text.splitlines()))
+            blocks = [set(map(int, line[len("class:"):].split())) for line in lines]
+            assert sorted(map(set, p.classes()), key=min) == sorted(blocks, key=min)
+            assert Partition.from_text(p.to_text()) == p
+            outcomes.add("ok")
+        # Successes, every line error and each whole-text error occur.
+        assert outcomes == {
+            "ok", " expected 'class", " elements must be decimal naturals", " empty class",
+            "InvalidPartition", "ValueError",
+        }
+
+
+_JUNK_LINES = ("", "   ", "clss: 1", "class:", "class 0", "# note", "class: 0 x", "class: -1")
+_BAD_ELEMENTS = ("x", "", "-1", "1.5", "0x3", "+1", "1_0", "10**9", "12")
+
+
+def _mutate_text(rng, text):
+    """One to three line edits of partition text: junk lines, deletions,
+    duplicates, bad or extra elements, whitespace and broken keywords."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(7) if lines else 0
+        i = rng.randrange(len(lines)) if lines else 0
+        if op == 0:
+            lines.insert(i, rng.choice(_JUNK_LINES))
+        elif op == 1:
+            del lines[i]
+        elif op == 2:
+            lines.insert(i, lines[i])
+        elif op == 3:
+            fields = lines[i].split() or [""]
+            fields[rng.randrange(len(fields))] = rng.choice(_BAD_ELEMENTS + tuple("0123456789"))
+            lines[i] = " ".join(fields)
+        elif op == 4:
+            lines[i] += " " + str(rng.randrange(12))
+        elif op == 5:
+            lines[i] = rng.choice(("  ", "\t")) + lines[i] + rng.choice(("", " ", "\t"))
+        else:
+            lines[i] = lines[i].replace(":", rng.choice((" :", "::", "")), 1)
+    return "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
+
+
+def _first_bad_line(text):
+    """The number of the first non-blank line that is not ``class:`` and one
+    or more integers, or None."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line[len("class:"):].split()
+        if not line.startswith("class:") or not tokens:
+            return lineno
+        try:
+            list(map(int, tokens))
+        except ValueError:
+            return lineno
+    return None
 
 
 # -- the kernels against element-level oracles ---------------------------------

@@ -44,7 +44,7 @@ def test_singular_rejects_out_of_range():
 
 def test_class_of_total():
     a = SmallEq.singular([1], 3)
-    assert a.class_of(10**12) == a.tail_label
+    assert a.key(10**12) == a.tail_label
 
 
 @given(small_eqs())
@@ -251,7 +251,7 @@ def _old_meet(a, b):
     threshold = max(a.threshold, b.threshold)
     pair_ids = {}
     pid = lambda key: pair_ids.setdefault(key, len(pair_ids))  # noqa: E731
-    labels = [pid((a.class_of(x), b.class_of(x))) for x in range(threshold)]
+    labels = [pid((a.key(x), b.key(x))) for x in range(threshold)]
     return _old_canonical(threshold, labels, pid((a.tail_label, b.tail_label)))
 
 

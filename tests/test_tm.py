@@ -148,6 +148,82 @@ class TestMachineValidation:
         for m in zoo().values():
             assert tm_from_text(tm_to_text(m)) == m
 
+    def test_seeded_mutations(self):
+        rng = random.Random(29)
+        machines = list(zoo().values()) + _random_machines(58, 40)
+        outcomes = set()
+        for _ in range(6000):
+            text = _mutate_tm_text(rng, tm_to_text(rng.choice(machines)))
+            bad = _first_bad_rule_line(text)
+            try:
+                m = tm_from_text(text)
+            except ValueError as exc:  # MachineError is one; nothing else may escape
+                message = str(exc)
+                assert message.startswith(f"line {bad}: ") == (bad is not None), (text, message)
+                outcomes.add(("line " if bad else "") + message.split(": ")[bool(bad)].split()[0])
+                continue
+            assert bad is None
+            assert tm_from_text(tm_to_text(m)) == m
+            assert tm_to_text(tm_from_text(tm_to_text(m))) == tm_to_text(m)
+            outcomes.add("ok")
+        # Successes, each line error and the machine checks all occur.
+        assert outcomes == {
+            "ok", "line expected", "line duplicate", "line cannot", "missing", "transition",
+            "rule", "start/halting", "bad", "blank", "duplicate", "halting",
+        }
+
+
+_TM_JUNK_LINES = ("", "  ", "# note", "rule: s _ -> s", "states:", "halt:", "start s", "blank: __")
+_TM_BAD_FIELDS = ("", "Q", "x y", "->", "<-", "L", "R", "S", "X", ">", "_", "s", "halt", "é")
+
+
+def _mutate_tm_text(rng, text):
+    """One to three line edits of machine text: junk lines, deletions,
+    duplicates, swaps, replaced fields, a state name appended to a line,
+    whitespace and broken keywords."""
+    lines = text.splitlines()
+    names = lines[0].split()[1:]
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(8) if lines else 0
+        i = rng.randrange(len(lines)) if lines else 0
+        if op == 0:
+            lines.insert(i, rng.choice(_TM_JUNK_LINES))
+        elif op == 1:
+            del lines[i]
+        elif op == 2:
+            lines.insert(i, lines[i])
+        elif op == 3:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 4:
+            fields = lines[i].split() or [""]
+            fields[rng.randrange(len(fields))] = rng.choice(_TM_BAD_FIELDS)
+            lines[i] = " ".join(fields)
+        elif op == 5:
+            lines[i] += " " + rng.choice(names)
+        elif op == 6:
+            lines[i] = rng.choice(("  ", "\t")) + lines[i] + rng.choice(("", " ", "\t"))
+        else:
+            lines[i] = lines[i].replace(":", rng.choice((" :", "::", "")), 1)
+    return "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
+
+
+def _first_bad_rule_line(text):
+    """The number of the first line that is neither blank, a comment, a
+    header nor a well-shaped rule for a new (state, symbol), or None."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(("#", "states:", "start:", "halt:", "blank:")):
+            continue
+        parts = line[len("rule:"):].split()
+        if not line.startswith("rule:") or len(parts) != 6 or parts[2] != "->":
+            return lineno
+        if (parts[0], parts[1]) in seen:
+            return lineno
+        seen.add((parts[0], parts[1]))
+    return None
+
 
 class TestConfigCoding:
     def test_round_trip_along_runs(self):
