@@ -399,11 +399,12 @@ DEMOS: dict[str, Callable] = {
 
 
 def cmd_verify(args) -> int:
-    _check_limit("tm step bound", args.tm_bound, MAX_PROBE_BOUND)
-    if args.suite == "tm":
-        results = vf.tm_checks(step_bound=args.tm_bound)
-    else:
-        results = vf.run_suite(args.suite)
+    names = list(vf.SUITES) if args.suite == "all" else [args.suite]
+    if "tm" in names:
+        _check_limit("tm step bound", args.tm_bound, MAX_PROBE_BOUND)
+    results = []
+    for name in names:
+        results += vf.tm_checks(step_bound=args.tm_bound) if name == "tm" else vf.run_suite(name)
     for r in results:
         print(r.line())
     failed = sum(1 for r in results if not r.passed)
@@ -492,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=["lattice", "complements", "automatic", "tm", "constructions", "all"],
     )
-    p.add_argument("--tm-bound", type=int, default=1000, help="step bound for the tm suite")
+    p.add_argument(
+        "--tm-bound", type=int, default=1000, help="step bound for the tm suite, also under all"
+    )
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -530,8 +530,13 @@ def _parse_class_lines(lines: Sequence[str], offset: int) -> list[list[int]]:
         lineno = offset + i + 1
         if not line.startswith("class:"):
             raise ValueError(f"line {lineno}: expected 'class: <elements>'")
+        block = line[len("class:"):].split()
+        # int() alone also reads "+1", "1_0" and non-ASCII digits. A negative
+        # numeral passes here and is refused by element.
         try:
-            block = [int(tok) for tok in line[len("class:"):].split()]
+            if not all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in block):
+                raise ValueError
+            block = list(map(int, block))  # refuses numerals past 4,300 digits
         except ValueError:
             raise ValueError(f"line {lineno}: elements must be decimal naturals") from None
         if not block:

@@ -404,6 +404,22 @@ class TestExitContract:
             f"error: tm step bound {MAX_PROBE_BOUND + 1} is above the limit {MAX_PROBE_BOUND}\n"
         )
 
+    def test_verify_tm_bound_limits_only_the_tm_suite(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(vf, "tm_checks", lambda step_bound: calls.append(step_bound) or [])
+        for name in vf.SUITES:
+            monkeypatch.setitem(vf.SUITES, name, lambda name=name: calls.append(name) or [])
+        above = str(MAX_PROBE_BOUND + 1)
+        code, out, _ = run(capsys, "verify", "constructions", "--tm-bound", above)
+        assert code == 0 and out == "0/0 checks passed\n" and calls == ["constructions"]
+        calls.clear()
+        code, out, _ = run(capsys, "verify", "all", "--tm-bound", "60")
+        assert code == 0 and calls == ["lattice", "complements", "automatic", 60, "constructions"]
+        calls.clear()
+        code, out, err = run(capsys, "verify", "all", "--tm-bound", above)
+        assert code == 2 and out == "" and calls == []
+        assert err == f"error: tm step bound {above} is above the limit {MAX_PROBE_BOUND}\n"
+
     def test_default_sample_bound(self, capsys):
         code, out, _ = run(capsys, "decider", "check", "parity")
         assert code == 0 and "[PASS] equivalence axioms on {0..31}" in out

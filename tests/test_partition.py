@@ -14,6 +14,7 @@ from equlat.partition import (
     InvalidUniverse,
     NotSingular,
     Partition,
+    SmallEq,
     UniverseMismatch,
     all_partitions,
     random_partition,
@@ -325,6 +326,22 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 1"):
             Partition.from_text("class: zero\n")
 
+    @pytest.mark.parametrize("one", ["+1", "0_1", "\u0661"])
+    def test_elements_are_ascii_numerals(self, one):
+        # int() reads each of these as 1.
+        for parse, text, lineno in (
+            (Partition.from_text, f"class: 0 {one}\n", 1),
+            (SmallEq.from_text, f"threshold: 2\ntail: 0\nclass: 0 {one}\n", 3),
+        ):
+            assert parse(text.replace(one, "1")) == parse(text.replace(one, "01"))
+            message = f"^line {lineno}: elements must be decimal naturals$"
+            with pytest.raises(ValueError, match=message):
+                parse(text)
+
+    def test_overlong_numeral_is_a_line_error(self):
+        with pytest.raises(ValueError, match="^line 2: elements must be decimal naturals$"):
+            Partition.from_text("class: 0\nclass: 1" + "0" * 5000 + "\n")
+
     def test_seeded_mutations(self):
         rng = random.Random(23)
         outcomes = set()
@@ -353,7 +370,7 @@ class TestTextFormat:
 
 
 _JUNK_LINES = ("", "   ", "clss: 1", "class:", "class 0", "# note", "class: 0 x", "class: -1")
-_BAD_ELEMENTS = ("x", "", "-1", "1.5", "0x3", "+1", "1_0", "10**9", "12")
+_BAD_ELEMENTS = ("x", "", "-1", "1.5", "0x3", "+1", "1_0", "\u0662", "10**9", "12")
 
 
 def _mutate_text(rng, text):
@@ -384,7 +401,7 @@ def _mutate_text(rng, text):
 
 def _first_bad_line(text):
     """The number of the first non-blank line that is not ``class:`` and one
-    or more integers, or None."""
+    or more ASCII decimal numerals, each perhaps negated, or None."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -392,9 +409,7 @@ def _first_bad_line(text):
         tokens = line[len("class:"):].split()
         if not line.startswith("class:") or not tokens:
             return lineno
-        try:
-            list(map(int, tokens))
-        except ValueError:
+        if not all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in tokens):
             return lineno
     return None
 
