@@ -192,14 +192,19 @@ def _build_expr(node: ast.expr) -> dc.DeciderEq:
         machine = tmlab.load_machine(args[0].id)
         return tmlab.approx_even(machine) if name == "approx_even" else tmlab.approx_odd(machine)
     if name == "nonhalt" and len(args) == 1 and isinstance(args[0], ast.Constant):
-        return tmlab.nonhalt_eq(int(args[0].value))
+        n = args[0].value
+        if type(n) is not int:  # not a float, string or bool literal
+            raise ValueError(f"nonhalt takes a whole number of steps, got {n!r}")
+        _check_limit("nonhalt step bound", n, MAX_RUN_BOUND)
+        return tmlab.nonhalt_eq(n)
     raise ValueError(f"cannot interpret {ast.dump(node)}")
 
 
 # Limits on the work a command may start, each checked before any of it.
 # `decider check` tabulates the relation on {0..B-1}: B^2 tests and memory.
 MAX_CHECK_BOUND = 512
-# `tm run` takes up to B steps.
+# `tm run` and `nonhalt(B)` take up to B steps per machine, and the
+# nonhalt-meet demo twice k steps per zoo machine.
 MAX_RUN_BOUND = 100_000
 # A halting probe keeps one coded point per step, each a bit per tape cell
 # long, so its time and memory grow as B^2 (`tm probe`, the join-undecidable
@@ -361,6 +366,7 @@ def demo_family_meet(args) -> int:
 
 
 def demo_nonhalt_meet(args) -> int:
+    _check_limit("k", args.k, MAX_RUN_BOUND)
     machines = list(tmlab.zoo().values())
     names = list(tmlab.zoo().keys())
     part = tmlab.nonhalt_family_meet(args.k, machines)

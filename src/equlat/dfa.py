@@ -250,6 +250,10 @@ def dfa_from_text(text: str) -> Dfa:
     states = start = None
     accepting: list[int] = []
     rules: dict[int, int] = {}  # 3 * state + symbol index -> target
+    # Numbers are ASCII numerals; int() alone also reads "+1", "1_0" and
+    # non-ASCII digits.  No other field holds those characters, so the fields
+    # are searched for them only in a text that holds any.
+    suspect = "+" in text or "_" in text or not text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -257,6 +261,8 @@ def dfa_from_text(text: str) -> Dfa:
         kind, colon, rest = line.partition(":")
         try:
             if not colon:
+                raise ValueError
+            if suspect and any(not f.isascii() or "+" in f or "_" in f for f in rest.split()):
                 raise ValueError
             if kind == "trans":
                 src, sym, dst = rest.split()

@@ -22,12 +22,12 @@ Configuration coding, bit-exactly:
     Numbers that decode to (clock, 0) or to a malformed configuration are
     not valid points; they are singleton classes in every derived relation.
 
-A halting probe codes each point of its trajectory once, step by step: the
-first configuration is encoded in full, and every later code follows from
-its predecessor by the one cell the step wrote and the at most one cell by
-which the tape grew or shrank.  The probe's point table is
-pre-filled from the trajectory, so its search decodes nothing; codes are
-decoded only to re-check a positive witness against a fresh table.
+One loop steps every run, on a list tape edited in place: ``simulate``
+keeps the last configuration, ``trajectory`` copies out each one, and a
+halting probe derives each point's code from its predecessor's and the at
+most two cells the step changed.  The probe's point table is pre-filled
+from those codes, so its search decodes nothing; codes are decoded only to
+re-check a positive witness against a fresh table.
 
 Machine descriptions are serialized through the same text format the zoo
 files use and coded as bijective numerals over a fixed character alphabet,
@@ -110,6 +110,14 @@ class TmSpec:
         return tuple(dict.fromkeys(symbols))
 
     @cached_property
+    def _table(self) -> dict[str, dict[str, tuple[str, str, int]]]:
+        """state -> symbol -> (state, symbol, move -1/0/+1); halting states have no row."""
+        table: dict[str, dict[str, tuple[str, str, int]]] = {}
+        for (q, a), (q2, b, mv) in self.rules.items():
+            table.setdefault(q, {})[a] = (q2, b, "LSR".index(mv) - 1)
+        return table
+
+    @cached_property
     def _serial(self) -> "_Numerals":
         """The numeral system of configuration codes (see serial_alphabet)."""
         return _Numerals(dict.fromkeys("0123456789:" + "".join(self.alphabet)))
@@ -135,8 +143,8 @@ def init_config(m: TmSpec, input_str: str) -> Configuration:
     bad = set(input_str) - set(m.alphabet) | ({ENDMARKER} & set(input_str))
     if bad:
         raise MachineError(f"input uses symbols outside the tape alphabet: {sorted(bad)}")
-    tape = ENDMARKER + input_str
-    return _canonical_config(m, m.start, 1, tape)
+    tape = ENDMARKER + input_str.rstrip(m.blank)
+    return Configuration(m.start, 1, tape.ljust(2, m.blank))  # canonical, and reaching the head
 
 
 def _last_nonblank(tape: str, blank: str) -> int:
@@ -144,50 +152,65 @@ def _last_nonblank(tape: str, blank: str) -> int:
     return max(len(tape.rstrip(blank)) - 1, 0)
 
 
-def _canonical_config(m: TmSpec, state: str, head: int, tape: str) -> Configuration:
-    if head >= len(tape):
-        tape = tape + m.blank * (head + 1 - len(tape))
-    keep = max(head, _last_nonblank(tape, m.blank))
-    return Configuration(state, head, tape[: keep + 1])
-
-
 def step(m: TmSpec, c: Configuration) -> Configuration | None:
     """The unique successor configuration, or None when already halted."""
     if c.state in m.halting:
         return None
-    sym = c.tape[c.head]
-    state, write, move = m.rules[(c.state, sym)]
-    tape = c.tape[: c.head] + write + c.tape[c.head + 1 :]
-    head = c.head + (1 if move == "R" else -1 if move == "L" else 0)
-    if head < 0:
-        head = 0
-    return _canonical_config(m, state, head, tape)
+    state, write, move = m._table[c.state][c.tape[c.head]]
+    head = max(c.head + move, 0)
+    tape = (c.tape[: c.head] + write + c.tape[c.head + 1 :]).ljust(head + 1, m.blank)
+    return Configuration(state, head, tape[: max(head, _last_nonblank(tape, m.blank)) + 1])
+
+
+def _start(m: TmSpec, input_str: str, max_steps: int) -> Configuration:
+    if max_steps < 0:
+        raise ValueError(f"step bound must be non-negative, got {max_steps}")
+    return init_config(m, input_str)
+
+
+def _run(m: TmSpec, c: Configuration, tape: list[str], max_steps: int):
+    """Yield (state, old head, new head, written, replaced, change of tape
+    length) for c, with nothing written, then for each of at most max_steps
+    steps to a halting state.  ``tape``, the caller's list of c's cells, is
+    edited in place and kept canonical: a move right off the end appends a
+    blank, and a blank written into the last cell goes as the head moves left."""
+    table, blank = m._table, m.blank
+    state, head = c.state, c.head
+    yield state, head, head, None, None, 0
+    for _ in range(max_steps):
+        row = table.get(state)
+        if row is None:
+            return
+        replaced = tape[head]
+        state, written, move = row[replaced]
+        tape[head] = written
+        new, grown = head + move, 0
+        if new == len(tape):
+            tape.append(blank)
+            grown = 1
+        elif move < 0 and head == len(tape) - 1 and written == blank:
+            tape.pop()
+            grown = -1
+        yield state, head, new, written, replaced, grown
+        head = new
 
 
 def trajectory(m: TmSpec, input_str: str, max_steps: int) -> list[Configuration]:
     """Configurations c_0 .. c_k with k = min(halting step, max_steps)."""
-    if max_steps < 0:
-        raise ValueError(f"step bound must be non-negative, got {max_steps}")
-    out = [init_config(m, input_str)]
-    while len(out) <= max_steps:
-        nxt = step(m, out[-1])
-        if nxt is None:
-            break
-        out.append(nxt)
-    return out
+    c = _start(m, input_str, max_steps)
+    tape = list(c.tape)
+    run = _run(m, c, tape, max_steps)
+    return [Configuration(state, head, "".join(tape)) for state, _, head, *_ in run]
 
 
 def simulate(m: TmSpec, input_str: str, max_steps: int) -> tuple[int, Configuration]:
     """Direct simulation keeping one configuration: the steps taken,
     min(halting step, max_steps), and the configuration reached."""
-    if max_steps < 0:
-        raise ValueError(f"step bound must be non-negative, got {max_steps}")
-    c = init_config(m, input_str)
-    for t in range(max_steps):
-        if c.state in m.halting:
-            return t, c
-        c = step(m, c)
-    return max_steps, c
+    c = _start(m, input_str, max_steps)
+    tape = list(c.tape)
+    for steps, (state, _, head, *_) in enumerate(_run(m, c, tape, max_steps)):
+        pass  # _run yields c first, so the loop always binds these
+    return steps, Configuration(state, head, "".join(tape))
 
 
 def halt_step(m: TmSpec, input_str: str, max_steps: int) -> int | None:
@@ -289,54 +312,38 @@ def encode_config(m: TmSpec, c: Configuration) -> int:
     return m._serial.to_nat(serialize_config(m, c))
 
 
-def _config_codes(m: TmSpec, run: Sequence[Configuration], first_code: int) -> list[int]:
-    """encode_config of every configuration of a run (each the step of the
-    one before), given the first one's code; each later code is updated from
-    its predecessor's.
+def _run_codes(m: TmSpec, c: Configuration, max_steps: int) -> list[int]:
+    """encode_config of each configuration of the run from c (see _run).
 
     The code of "s:h:tape" is value("s:h:") * k^T + value(tape) with T the
-    tape length.  A step rewrites the head cell, whose weight is
-    k^(T - 1 - head), and grows the tape by one blank cell (moving right off
-    its end) or drops one trailing blank (moving left off it), so each code
-    costs a few small-times-big updates of value(tape), k^T and the head
-    weight, plus value("s:h:"), which is cached per machine and (state, head).
-    """
-    numerals = m._serial
+    tape length.  A step rewrites the head cell, of weight k^(T - 1 - head),
+    and adds or drops at most one blank at the end, so each later code costs
+    a few small-times-big updates of value(tape), k^T and the head weight,
+    plus value("s:h:"), cached per machine and (state, head)."""
+    numerals, prefixes = m._serial, m._prefix_codes
     k, value = numerals.k, numerals._value
     blank = value[m.blank]
-    prefixes = m._prefix_codes
-
-    def prefix(c: Configuration) -> int:
-        p = prefixes.get((c.state, c.head))
-        if p is None:
-            p = prefixes[c.state, c.head] = numerals.to_nat(
-                f"{m.states.index(c.state)}:{c.head}:"
-            )
-        return p
-
-    first = run[0]
-    k_length = k ** len(first.tape)
-    head_weight = k ** (len(first.tape) - 1 - first.head)
-    tape_value = first_code - prefix(first) * k_length
-    codes = [first_code]
-    for prev, c in zip(run, run[1:]):
-        h, old, new = prev.head, prev.tape, c.tape
-        written = new[h] if h < len(new) else m.blank
-        if written != old[h]:
-            tape_value += (value[written] - value[old[h]]) * head_weight
-        grown = len(new) - len(old)
+    k_length = k ** len(c.tape)
+    head_weight = k ** (len(c.tape) - 1 - c.head)
+    tape_value = numerals.to_nat(c.tape)
+    codes = []
+    for state, h, head, written, replaced, grown in _run(m, c, list(c.tape), max_steps):
+        if written != replaced:
+            tape_value += (value[written] - value[replaced]) * head_weight
         if grown > 0:
             tape_value = tape_value * k + blank
             k_length *= k
         elif grown < 0:
             tape_value = (tape_value - blank) // k
             k_length //= k
-        shift = grown - (c.head - h)  # change of the head weight's exponent
-        if shift > 0:
-            head_weight *= k
-        elif shift < 0:
+        elif head > h:  # the head weight's exponent falls as the head moves right
             head_weight //= k
-        codes.append(prefix(c) * k_length + tape_value)
+        elif head < h:
+            head_weight *= k
+        prefix = prefixes.get((state, head))
+        if prefix is None:
+            prefix = prefixes[state, head] = numerals.to_nat(f"{m.states.index(state)}:{head}:")
+        codes.append(prefix * k_length + tape_value)
     return codes
 
 
@@ -365,7 +372,8 @@ def decode_config(m: TmSpec, code: int) -> Configuration | None:
 
 
 def cantor_pair(a: int, b: int) -> int:
-    return (a + b) * (a + b + 1) // 2 + b
+    s = a + b
+    return (s * s + s >> 1) + b  # s * s takes CPython's squaring path
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:
@@ -491,18 +499,14 @@ def halting_probe(
     the search decodes nothing.  A positive answer carries a chain that has
     been re-checked against a freshly decoding table.
     """
-    configs = trajectory(m, input_str, step_bound)
-    last = configs[-1]
-    halted = last.state in m.halting
-    run = configs if halted else configs + [step(m, last)]
-    first_code = encode_config(m, configs[0])
-    points = [pack_point(t, code) for t, code in enumerate(_config_codes(m, run, first_code))]
-    if halted:
+    c = _start(m, input_str, step_bound)
+    # One step past the bound gives the last point's successor.
+    points = [pack_point(t, code) for t, code in enumerate(_run_codes(m, c, step_bound + 1))]
+    if len(points) <= step_bound + 1:  # halted within the bound
         points.append(SINK)
     info = _PointInfo(m)
-    for t in range(len(configs)):
-        info[points[t]] = (t, points[t + 1])
-    candidates = set(points[: len(configs)]) | {SINK}
+    info.update(zip(points, enumerate(points[1:])))  # x_t -> (t, x_t+1)
+    candidates = set(points[:-1]) | {SINK}
     chain_bound = 2 * step_bound + 2
     universe_bound = max(candidates) + 1
     result = bounded_join(
@@ -513,7 +517,7 @@ def halting_probe(
         # encoded initial configuration and hold link by link on points the
         # fresh table decodes itself.
         fresh = _PointInfo(m)
-        if result.chain[0] != pack_point(0, first_code) or not verify_chain(
+        if result.chain[0] != pack_point(0, encode_config(m, c)) or not verify_chain(
             _approx(m, 0, fresh), _approx(m, 1, fresh), result, candidates, chain_bound
         ):
             raise AssertionError("search returned an unverifiable chain")

@@ -411,13 +411,13 @@ def automatic_checks() -> list[CheckResult]:
 def tm_checks(step_bound: int = 1000) -> list[CheckResult]:
     out = []
     zoo = tmlab.zoo()
-    halting = [m for m in zoo.values() if tmlab.halt_step(m, "", 1000) is not None]
-    looping = [m for m in zoo.values() if tmlab.halt_step(m, "", 1000) is None]
+    looping = [tmlab.halt_step(m, "", 1000) for m in zoo.values()].count(None)
+    halting = len(zoo) - looping
     out.append(
         CheckResult(
             "machine zoo composition",
-            len(zoo) >= 10 and len(halting) >= 3 and len(looping) >= 3,
-            f"{len(zoo)} machines, {len(halting)} halting, {len(looping)} looping at 1000 steps",
+            len(zoo) >= 10 and halting >= 3 and looping >= 3,
+            f"{len(zoo)} machines, {halting} halting, {looping} looping at 1000 steps",
         )
     )
 
@@ -435,17 +435,10 @@ def tm_checks(step_bound: int = 1000) -> list[CheckResult]:
             )
         else:
             agree &= direct is None
+    searched = f"whole zoo at bound {step_bound}"
+    out.append(CheckResult("halting search agrees with direct simulation", agree, searched))
     out.append(
-        CheckResult(
-            "halting search agrees with direct simulation",
-            agree,
-            f"whole zoo at bound {step_bound}",
-        )
-    )
-    out.append(
-        CheckResult(
-            "returned chains verify link by link", chains_ok, "within stated bounds"
-        )
+        CheckResult("returned chains verify link by link", chains_ok, "within stated bounds")
     )
 
     parity_ok = True
@@ -496,11 +489,7 @@ def tm_checks(step_bound: int = 1000) -> list[CheckResult]:
         prev = big
         detail.append(f"k={k}: {len(big)} machines still running")
     out.append(
-        CheckResult(
-            "non-halting family meets match direct simulation",
-            ok10,
-            "; ".join(detail),
-        )
+        CheckResult("non-halting family meets match direct simulation", ok10, "; ".join(detail))
     )
     return out
 

@@ -24,6 +24,17 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
+def simulate_bounds(monkeypatch):
+    """The bounds tm.simulate is called with; it is stubbed to run 3 steps."""
+    bounds = []
+    real = tmlab.simulate
+    monkeypatch.setattr(
+        tmlab, "simulate", lambda m, inp, bound: bounds.append(bound) or real(m, inp, 3)
+    )
+    return bounds
+
+
+@pytest.fixture
 def parts(tmp_path):
     e = tmp_path / "e.part"
     f = tmp_path / "f.part"
@@ -195,6 +206,25 @@ class TestDeciderCommands:
     def test_nonhalt_expression(self, capsys):
         code, out, _ = run(capsys, "decider", "decide", "nonhalt(5)", "3", "3")
         assert code == 0 and out.strip() == "true"
+
+    @pytest.mark.parametrize("literal", ["1.9", "'2'", "True", "False", "3.0", "None"])
+    def test_nonhalt_takes_whole_numbers_only(self, capsys, literal):
+        code, out, err = run(capsys, "decider", "decide", f"nonhalt({literal})", "3", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: nonhalt takes a whole number of steps, got {literal}\n"
+
+    def test_nonhalt_step_bound_limit(self, capsys, simulate_bounds):
+        spin, builder = (str(tmlab.encode_tm(tmlab.zoo()[name])) for name in ("spin", "builder"))
+        expr = f"nonhalt({MAX_RUN_BOUND})"
+        code, out, err = run(capsys, "decider", "decide", expr, spin, builder)
+        assert (code, out, err) == (0, "true\n", "") and simulate_bounds == [MAX_RUN_BOUND] * 2
+        simulate_bounds.clear()
+        expr = f"nonhalt({MAX_RUN_BOUND + 1})"
+        code, out, err = run(capsys, "decider", "decide", expr, spin, builder)
+        assert code == 2 and out == "" and simulate_bounds == []
+        assert err == (
+            f"error: nonhalt step bound {MAX_RUN_BOUND + 1} is above the limit {MAX_RUN_BOUND}\n"
+        )
 
 
 class TestTmCommands:
@@ -443,6 +473,17 @@ class TestExitContract:
         assert code == 2
         assert err == "--k must be below the number of cuts (3)\n"
         assert out == ""
+
+    def test_nonhalt_meet_level_limit(self, capsys, simulate_bounds):
+        # The demo simulates each zoo machine once for its meet and once for
+        # its check.
+        code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", str(MAX_RUN_BOUND))
+        assert code == 0 and err == "" and "[PASS]" in out
+        assert simulate_bounds == [MAX_RUN_BOUND] * (2 * len(tmlab.zoo()))
+        simulate_bounds.clear()
+        code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", str(MAX_RUN_BOUND + 1))
+        assert code == 2 and out == "" and simulate_bounds == []
+        assert err == f"error: k {MAX_RUN_BOUND + 1} is above the limit {MAX_RUN_BOUND}\n"
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_nonhalt_meet_level_validated_first(self, capsys, k):

@@ -366,8 +366,18 @@ def _old_validated(delta, start, accepting):
     return delta, start, accepting
 
 
+def _old_int(text):
+    """int() of an ASCII decimal numeral, possibly negative: int() alone also
+    reads "+1", "1_0" and non-ASCII digits."""
+    text = text.strip()
+    if not text.isascii() or not text.removeprefix("-").isdigit():
+        raise ValueError
+    return int(text)
+
+
 def _old_dfa_from_text(text):
-    """The prefix-cascade parser, returning the validated fields."""
+    """The prefix-cascade parser, returning the validated fields; numbers are
+    ASCII decimal numerals."""
     states = start = None
     accepting = []
     rules = {}
@@ -377,19 +387,19 @@ def _old_dfa_from_text(text):
             continue
         try:
             if line.startswith("states:"):
-                states = int(line.split(":", 1)[1])
+                states = _old_int(line.split(":", 1)[1])
             elif line.startswith("start:"):
-                start = int(line.split(":", 1)[1])
+                start = _old_int(line.split(":", 1)[1])
             elif line.startswith("accept:"):
-                accepting = [int(tok) for tok in line.split(":", 1)[1].split()]
+                accepting = [_old_int(tok) for tok in line.split(":", 1)[1].split()]
             elif line.startswith("trans:"):
                 src, sym, dst = line[len("trans:"):].split()
                 if sym not in ("0", "1", "B"):
                     raise ValueError
-                key = (int(src), sym)
+                key = (_old_int(src), sym)
                 if key in rules:
                     raise ValueError(f"line {lineno}: duplicate transition {key}")
-                rules[key] = int(dst)
+                rules[key] = _old_int(dst)
             else:
                 raise ValueError
         except ValueError as exc:
@@ -487,6 +497,23 @@ class TestParserMatchesOldParser:
         for d in _kernel_inputs():
             text = dfa_to_text(d)
             assert _fields(dfa_from_text(text)) == _fields(d) == _old_dfa_from_text(text)
+
+    @pytest.mark.parametrize("field", ["+1", "1_0", "٣", "١", "+1_2"])
+    def test_numbers_are_ascii_decimal_numerals(self, field):
+        text = "states: 2\nstart: 0\naccept: 1\ntrans: 0 0 1\ntrans: 0 1 0\ntrans: 0 B 0\n"
+        text += "trans: 1 0 1\ntrans: 1 1 1\ntrans: 1 B 1\n"
+        assert _fields(dfa_from_text(text)) == (((1, 0, 0), (1, 1, 1)), 0, frozenset({1}))
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            # Each number of each line in turn, not the symbol of a transition.
+            kind, _, rest = line.partition(":")
+            for j in range(len(rest.split())):
+                if not (kind == "trans" and j == 1):
+                    fields = rest.split()
+                    fields[j] = field
+                    bad = lines[:i] + [f"{kind}: {' '.join(fields)}"] + lines[i + 1:]
+                    with pytest.raises(ValueError, match=rf"^line {i + 1}: cannot parse"):
+                        dfa_from_text("\n".join(bad))
 
     def test_huge_state_header_fails_fast(self):
         text = "states: 1000000000000\nstart: 0\naccept:\ntrans: 0 0 0\n"

@@ -32,6 +32,7 @@ from equlat.tm import (
     pack_point,
     serial_alphabet,
     serialize_config,
+    simulate,
     step,
     tm_from_text,
     tm_to_text,
@@ -39,7 +40,7 @@ from equlat.tm import (
     unpack_point,
     zoo,
 )
-from equlat.tm import _config_codes, _last_nonblank, _Numerals, _PointInfo
+from equlat.tm import _last_nonblank, _Numerals, _PointInfo, _run_codes
 
 # Halts after several hundred steps on the empty input; kept out of the zoo,
 # which the benchmark and `equlat verify tm` iterate.
@@ -68,6 +69,47 @@ def _loop_last_nonblank(tape, blank):
     while i > 0 and tape[i] == blank:
         i -= 1
     return i
+
+
+# The Configuration-slicing step and the loops over it that the stepping
+# kernel replaced, kept as oracles.
+def _old_canonical(m, state, head, tape):
+    if head >= len(tape):
+        tape = tape + m.blank * (head + 1 - len(tape))
+    keep = max(head, _loop_last_nonblank(tape, m.blank))
+    return tm.Configuration(state, head, tape[: keep + 1])
+
+
+def _old_step(m, c):
+    if c.state in m.halting:
+        return None
+    sym = c.tape[c.head]
+    state, write, move = m.rules[(c.state, sym)]
+    tape = c.tape[: c.head] + write + c.tape[c.head + 1 :]
+    head = c.head + (1 if move == "R" else -1 if move == "L" else 0)
+    if head < 0:
+        head = 0
+    return _old_canonical(m, state, head, tape)
+
+
+def _old_trajectory(m, input_str, max_steps):
+    init_config(m, input_str)  # the same input check
+    out = [_old_canonical(m, m.start, 1, tm.ENDMARKER + input_str)]
+    while len(out) <= max_steps:
+        nxt = _old_step(m, out[-1])
+        if nxt is None:
+            break
+        out.append(nxt)
+    return out
+
+
+def _old_simulate(m, input_str, max_steps):
+    c = _old_canonical(m, m.start, 1, tm.ENDMARKER + input_str)
+    for t in range(max_steps):
+        if c.state in m.halting:
+            return t, c
+        c = _old_step(m, c)
+    return max_steps, c
 
 
 def _alphabets():
@@ -291,6 +333,7 @@ class TestNumerals:
         m = zoo()["builder"]
         assert m.alphabet is m.alphabet
         assert serial_alphabet(m) is serial_alphabet(m)
+        assert m._table is m._table
 
     def test_needs_two_symbols(self):
         with pytest.raises(ValueError):
@@ -589,18 +632,23 @@ def _long_halt():
 
 
 def _coding_runs():
-    """Zoo runs on the empty input up to bound 1000 and on seeded random
-    inputs, plus the long-halting machine's run."""
+    """Oracle runs: the zoo on the empty input up to bound 1000 and on seeded
+    random inputs, the long-halting machine, and seeded random machines."""
     rng = random.Random(25)
     for m in zoo().values():
-        yield m, trajectory(m, "", 1000)
+        yield m, _old_trajectory(m, "", 1000)
         symbols = [a for a in m.alphabet if a != ">"]
         for _ in range(3):
             inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 9)))
-            yield m, trajectory(m, inp, rng.randrange(50, 400))
+            yield m, _old_trajectory(m, inp, rng.randrange(50, 400))
     long_halt = _long_halt()
     for inp in ("", "1011"):
-        yield long_halt, trajectory(long_halt, inp, 1000)
+        yield long_halt, _old_trajectory(long_halt, inp, 1000)
+    for m in _random_machines(55, 80):
+        symbols = [a for a in m.alphabet if a != ">"]
+        for _ in range(2):
+            inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(0, 6)))
+            yield m, _old_trajectory(m, inp, rng.randrange(0, 120))
 
 
 def _probe_tables(monkeypatch, m, input_str, bound):
@@ -623,7 +671,7 @@ class TestIncrementalCodes:
         seen = {"growth": 0, "shrink": 0, "last-cell write": 0, "head at cell 0": 0}
         for m, run in _coding_runs():
             codes = [encode_config(m, c) for c in run]
-            assert _config_codes(m, run, codes[0]) == codes, m.name
+            assert _run_codes(m, run[0], len(run) - 1) == codes, m.name
             for a, b in zip(run, run[1:]):
                 seen["growth"] += len(b.tape) > len(a.tape)
                 seen["shrink"] += len(b.tape) < len(a.tape)
@@ -636,7 +684,59 @@ class TestIncrementalCodes:
     def test_single_configuration(self):
         m = zoo()["halt"]
         c = init_config(m, "")
-        assert _config_codes(m, [c], encode_config(m, c)) == [encode_config(m, c)]
+        assert _run_codes(m, c, 0) == _run_codes(m, c, 5) == [encode_config(m, c)]
+
+
+class TestSteppingKernel:
+    """simulate, trajectory and step against the Configuration-slicing oracle."""
+
+    def test_trajectory_and_step_match_oracle(self):
+        for m, run in _coding_runs():
+            c = run[0]
+            inp = c.tape[1:]
+            assert trajectory(m, inp, len(run) - 1) == run, m.name
+            assert trajectory(m, inp, len(run) + 3) == _old_trajectory(m, inp, len(run) + 3)
+            for a in run:
+                assert step(m, a) == _old_step(m, a)
+
+    def test_simulate_matches_oracle(self):
+        for m, run in _coding_runs():
+            inp = run[0].tape[1:]
+            for bound in {0, 1, len(run) // 2, len(run) - 1, len(run), len(run) + 7}:
+                assert simulate(m, inp, bound) == _old_simulate(m, inp, bound), m.name
+
+    def test_inputs_with_blanks_start_canonical(self):
+        for m in list(zoo().values()) + _random_machines(56, 40):
+            symbols = [a for a in m.alphabet if a != tm.ENDMARKER]
+            blank, mark = m.blank, symbols[-1]
+            for inp in ("", blank, blank * 3, mark + blank * 2, blank + mark):
+                assert init_config(m, inp) == _old_trajectory(m, inp, 0)[0]
+                assert trajectory(m, inp, 40) == _old_trajectory(m, inp, 40)
+
+    def test_cantor_pair_matches_old_formula(self):
+        rng = random.Random(27)
+        pairs = [(a, b) for a in range(40) for b in range(40)]
+        for _ in range(300):
+            pairs.append((rng.getrandbits(rng.randrange(15001)), rng.getrandbits(15000)))
+            pairs.append((rng.randrange(4001), rng.getrandbits(rng.randrange(15001))))
+        for a, b in pairs:
+            assert cantor_pair(a, b) == (a + b) * (a + b + 1) // 2 + b
+
+    def test_every_run_steps_through_the_kernel(self, monkeypatch):
+        calls = []
+        real = tm._run
+
+        def counting(m, c, tape, max_steps):
+            calls.append(max_steps)
+            return real(m, c, tape, max_steps)
+
+        monkeypatch.setattr(tm, "_run", counting)
+        m = zoo()["increment"]
+        trajectory(m, "11", 7)
+        simulate(m, "11", 8)
+        halt_step(m, "11", 9)
+        halting_probe(m, "11", 10)
+        assert calls == [7, 8, 9, 11]
 
 
 class TestSeededPointTable:
@@ -675,12 +775,12 @@ class TestProbeReCheck:
         assert isinstance(halting_probe(m, input_str, bound), HaltsInSteps)
         for j in points:
 
-            def off_by_one(machine, run, first_code, j=j):
-                codes = _config_codes(machine, run, first_code)
+            def off_by_one(machine, c, max_steps, j=j):
+                codes = _run_codes(machine, c, max_steps)
                 codes[j] += 1
                 return codes
 
-            monkeypatch.setattr(tm, "_config_codes", off_by_one)
+            monkeypatch.setattr(tm, "_run_codes", off_by_one)
             with pytest.raises(AssertionError, match="unverifiable chain"):
                 halting_probe(m, input_str, bound)
             monkeypatch.undo()
@@ -694,10 +794,10 @@ class TestProbeReCheck:
         wrong = tm.Configuration(start.state, start.head, ">0")
         assert step(m, wrong) == step(m, start)
 
-        def wrong_start(machine, run, first_code):
-            return [encode_config(machine, wrong)] + _config_codes(machine, run, first_code)[1:]
+        def wrong_start(machine, c, max_steps):
+            return [encode_config(machine, wrong)] + _run_codes(machine, c, max_steps)[1:]
 
-        monkeypatch.setattr(tm, "_config_codes", wrong_start)
+        monkeypatch.setattr(tm, "_run_codes", wrong_start)
         with pytest.raises(AssertionError, match="unverifiable chain"):
             halting_probe(m, "", 400)
 
