@@ -3,6 +3,7 @@ verify their own claims, and the verification suites.
 
 Exit status is 0 when the operation succeeded (and, for checks/demos/verify,
 when every check passed); 1 when a check failed; 2 for unusable input.
+Every number argument is an ASCII decimal numeral (see ``numeral``).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from . import decider as dc
 from . import tm as tmlab
 from . import verify as vf
 from .dfa import Dfa, dfa_from_text, dfa_to_text
-from .partition import Partition
+from .partition import Partition, numeral
 
 
 def _read(path: str) -> str:
@@ -102,7 +103,7 @@ def cmd_automatic(args) -> int:
             print("usage: equlat automatic decide DFA M N", file=sys.stderr)
             return 2
         rel = _load_automatic(args.inputs[0])
-        print("true" if rel.decide(int(args.inputs[1]), int(args.inputs[2])) else "false")
+        print("true" if rel.decide(numeral(args.inputs[1]), numeral(args.inputs[2])) else "false")
         return 0
     if op == "reps":
         rel = _load_automatic(args.inputs[0])
@@ -137,7 +138,7 @@ def _parse_blocks(text: str) -> list[list[int]]:
     blocks = []
     for chunk in text.split(";"):
         if chunk.strip():
-            blocks.append([int(tok) for tok in chunk.split()])
+            blocks.append([numeral(tok) for tok in chunk.split()])
     return blocks
 
 
@@ -297,7 +298,7 @@ def _resolve_predicate(spec: str):
 def _family_spec(args) -> cs.SingularFamilySpec | None:
     """The spec of ``--pred`` and ``--cuts``; None if ``--k`` is out of range."""
     pred, pname = _resolve_predicate(args.pred)
-    cuts = tuple(int(tok) for tok in args.cuts.split(","))
+    cuts = tuple(numeral(tok.strip()) for tok in args.cuts.split(","))
     spec = cs.SingularFamilySpec(pred, cuts, name=pname)
     if args.k >= len(cuts):
         print(f"--k must be below the number of cuts ({len(cuts)})", file=sys.stderr)
@@ -381,7 +382,7 @@ def demo_nonhalt_meet(args) -> int:
 
 
 def demo_atoms(args) -> int:
-    members = sorted(int(tok) for tok in args.set.split(","))
+    members = sorted(numeral(tok.strip()) for tok in args.set.split(","))
     print(f"atoms joining to the singular relation with class {members} on n={args.n}:")
     atoms = cs.star_atoms(members, args.n)
     print("atoms:", " ".join(f"({a.a},{a.b})" for a in atoms))
@@ -449,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("op", choices=["decide", "restrict", "check"])
     p.add_argument("expr", help="decider expression, e.g. 'meet(parity, singular(even))'")
-    p.add_argument("values", nargs="*", type=int, help="M N for decide; N for restrict")
-    p.add_argument("--bound", type=int, default=32, help="sample bound for check")
+    p.add_argument("values", nargs="*", type=numeral, help="M N for decide; N for restrict")
+    p.add_argument("--bound", type=numeral, default=32, help="sample bound for check")
     p.add_argument("--out", help="write the result here")
     p.set_defaults(fn=cmd_decider)
 
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["probe", "run", "zoo"])
     p.add_argument("machine", nargs="?", help="zoo name or machine file")
     p.add_argument("input", nargs="?", default="", help="initial tape contents")
-    p.add_argument("--bound", type=int, default=100, help="step bound")
+    p.add_argument("--bound", type=numeral, default=100, help="step bound")
     p.set_defaults(fn=cmd_tm)
     # probe/run need a machine; checked in cmd_tm since zoo does not
 
@@ -466,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=["meet"])
     p.add_argument("--pred", required=True, help="even|odd|prime|bitmask:FILE")
     p.add_argument("--cuts", required=True, help="comma-separated increasing cuts")
-    p.add_argument("--k", type=int, required=True, help="truncation index")
-    p.add_argument("--restrict", type=int, help="emit the restriction to {0..N-1}")
+    p.add_argument("--k", type=numeral, required=True, help="truncation index")
+    p.add_argument("--restrict", type=numeral, help="emit the restriction to {0..N-1}")
     p.add_argument("--out", help="write the result here")
     p.set_defaults(fn=cmd_family)
 
@@ -476,22 +477,22 @@ def build_parser() -> argparse.ArgumentParser:
     d = demo_sub.add_parser("join-undecidable")
     d.add_argument("--machine", default="increment")
     d.add_argument("--input", default="11")
-    d.add_argument("--bound", type=int, default=50)
+    d.add_argument("--bound", type=numeral, default=50)
     d.set_defaults(fn=demo_join_undecidable)
     d = demo_sub.add_parser("automatic-meet-growth")
-    d.add_argument("--k", type=int, default=8)
+    d.add_argument("--k", type=numeral, default=8)
     d.set_defaults(fn=demo_meet_growth)
     d = demo_sub.add_parser("family-meet")
     d.add_argument("--pred", default="even")
     d.add_argument("--cuts", default="2,4,8")
-    d.add_argument("--k", type=int, default=2)
+    d.add_argument("--k", type=numeral, default=2)
     d.set_defaults(fn=demo_family_meet)
     d = demo_sub.add_parser("nonhalt-meet")
-    d.add_argument("--k", type=int, default=10)
+    d.add_argument("--k", type=numeral, default=10)
     d.set_defaults(fn=demo_nonhalt_meet)
     d = demo_sub.add_parser("atoms")
     d.add_argument("--set", default="1,3,5")
-    d.add_argument("--n", type=int, default=8)
+    d.add_argument("--n", type=numeral, default=8)
     d.set_defaults(fn=demo_atoms)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -500,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["lattice", "complements", "automatic", "tm", "constructions", "all"],
     )
     p.add_argument(
-        "--tm-bound", type=int, default=1000, help="step bound for the tm suite, also under all"
+        "--tm-bound", type=numeral, default=1000, help="step bound for the tm suite, also under all"
     )
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -74,12 +74,8 @@ class Dfa:
     def state_count(self) -> int:
         return len(self.delta)
 
-    def step(self, state: int, symbol: str) -> int:
-        return self.delta[state][_IDX[symbol]]
-
-    def run(self, word: str, state: int | None = None) -> int:
-        if state is None:
-            state = self.start
+    def run(self, word: str) -> int:
+        state = self.start
         for ch in word:
             state = self.delta[state][_IDX[ch]]
         return state

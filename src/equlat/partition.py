@@ -471,9 +471,9 @@ class SmallEq:
             if not line:
                 continue
             if line.startswith("threshold:") and threshold is None:
-                threshold = int(line.split(":", 1)[1])
+                threshold = numeral(line.split(":", 1)[1].strip())
             elif line.startswith("tail:") and tail is None:
-                tail = int(line.split(":", 1)[1])
+                tail = numeral(line.split(":", 1)[1].strip())
             else:
                 body_start = i
                 break
@@ -521,6 +521,14 @@ class SmallEq:
         )
 
 
+def numeral(text: str) -> int:
+    """int(text) for an ASCII decimal numeral, a leading minus allowed; int()
+    alone also reads "+1", "1_0" and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal numeral: {text!r}")
+    return int(text)
+
+
 def _parse_class_lines(lines: Sequence[str], offset: int) -> list[list[int]]:
     blocks = []
     for i, raw in enumerate(lines):
@@ -530,13 +538,9 @@ def _parse_class_lines(lines: Sequence[str], offset: int) -> list[list[int]]:
         lineno = offset + i + 1
         if not line.startswith("class:"):
             raise ValueError(f"line {lineno}: expected 'class: <elements>'")
-        block = line[len("class:"):].split()
-        # int() alone also reads "+1", "1_0" and non-ASCII digits. A negative
-        # numeral passes here and is refused by element.
+        # A negative numeral passes here and is refused by element.
         try:
-            if not all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in block):
-                raise ValueError
-            block = list(map(int, block))  # refuses numerals past 4,300 digits
+            block = list(map(numeral, line[len("class:"):].split()))
         except ValueError:
             raise ValueError(f"line {lineno}: elements must be decimal naturals") from None
         if not block:

@@ -22,12 +22,12 @@ Configuration coding, bit-exactly:
     Numbers that decode to (clock, 0) or to a malformed configuration are
     not valid points; they are singleton classes in every derived relation.
 
-One loop steps every run, on a list tape edited in place: ``simulate``
-keeps the last configuration, ``trajectory`` copies out each one, and a
-halting probe derives each point's code from its predecessor's and the at
-most two cells the step changed.  The probe's point table is pre-filled
-from those codes, so its search decodes nothing; codes are decoded only to
-re-check a positive witness against a fresh table.
+One loop steps every run, on a list tape edited in place: ``step`` is one
+step of it, ``simulate`` keeps the last configuration, ``trajectory`` copies
+out each one, and a halting probe derives each point's code from its
+predecessor's and the at most two cells the step changed.  The probe's point
+table is pre-filled from those codes, so its search decodes nothing; codes
+are decoded only to re-check a positive witness against a fresh table.
 
 Machine descriptions are serialized through the same text format the zoo
 files use and coded as bijective numerals over a fixed character alphabet,
@@ -153,13 +153,12 @@ def _last_nonblank(tape: str, blank: str) -> int:
 
 
 def step(m: TmSpec, c: Configuration) -> Configuration | None:
-    """The unique successor configuration, or None when already halted."""
-    if c.state in m.halting:
-        return None
-    state, write, move = m._table[c.state][c.tape[c.head]]
-    head = max(c.head + move, 0)
-    tape = (c.tape[: c.head] + write + c.tape[c.head + 1 :]).ljust(head + 1, m.blank)
-    return Configuration(state, head, tape[: max(head, _last_nonblank(tape, m.blank)) + 1])
+    """The unique successor configuration, or None when already halted:
+    one step of ``_run``."""
+    tape = list(c.tape)
+    for steps, (state, _, head, *_) in enumerate(_run(m, c, tape, 1)):
+        pass  # as in simulate: _run yields c first, then c's successor
+    return Configuration(state, head, "".join(tape)) if steps else None
 
 
 def _start(m: TmSpec, input_str: str, max_steps: int) -> Configuration:

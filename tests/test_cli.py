@@ -491,3 +491,42 @@ class TestExitContract:
         assert code == 2
         assert err == "error: k must be at least 1\n"
         assert out == ""
+
+
+_NUMBER_ARGUMENTS = [
+    ("automatic", "decide", "{dfa}", "{n}", "3"),
+    ("automatic", "coarsen", "{dfa}", "--blocks", "0 1; {n}"),
+    ("decider", "decide", "parity", "{n}", "3"),
+    ("decider", "restrict", "parity", "{n}"),
+    ("decider", "check", "parity", "--bound", "{n}"),
+    ("tm", "run", "spin", "", "--bound", "{n}"),
+    ("tm", "probe", "builder", "", "--bound", "{n}"),
+    ("family", "meet", "--pred", "even", "--cuts", "{n},4,8", "--k", "1"),
+    ("family", "meet", "--pred", "even", "--cuts", "2,4,8", "--k", "{n}"),
+    ("family", "meet", "--pred", "even", "--cuts", "2,4,8", "--k", "1", "--restrict", "{n}"),
+    ("demo", "join-undecidable", "--bound", "{n}"),
+    ("demo", "automatic-meet-growth", "--k", "{n}"),
+    ("demo", "family-meet", "--cuts", "{n},4,8"),
+    ("demo", "family-meet", "--k", "{n}"),
+    ("demo", "nonhalt-meet", "--k", "{n}"),
+    ("demo", "atoms", "--set", "1,{n}"),
+    ("demo", "atoms", "--set", "0,1", "--n", "{n}"),
+    ("verify", "constructions", "--tm-bound", "{n}"),
+]
+
+
+@pytest.mark.parametrize("argv", _NUMBER_ARGUMENTS, ids=" ".join)
+def test_number_arguments_are_ascii_numerals(capsys, tmp_path, argv):
+    dfa = tmp_path / "mod3.dfa"
+    dfa.write_text(dfa_to_text(corpus()["mod3"].dfa))
+    code, _, _ = run(capsys, *(a.format(dfa=dfa, n="2") for a in argv))
+    assert code == 0
+    # int() reads each of these as 2.
+    for two in ("+2", "0_2", "\u0662"):
+        try:
+            code = main([a.format(dfa=dfa, n=two) for a in argv])
+        except SystemExit as exc:  # argparse refuses option values itself
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", (two, out)
+        assert repr(two) in err

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -228,6 +229,17 @@ def test_text_negative_elements_and_tails_rejected():
         SmallEq.from_text("threshold: 2\ntail: 2\nclass: -5\n")
     with pytest.raises(ValueError, match="tail label -3 does not name a class"):
         SmallEq.from_text("threshold: 2\ntail: -3\nclass: 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "field, other", [("threshold", "+2"), ("threshold", "\u0662"), ("tail", "0_2")]
+)
+def test_text_headers_are_ascii_numerals(field, other):
+    # int() reads each other numeral as 2.
+    text = "threshold: 2\ntail: 2\nclass: 0\nclass: 1\n"
+    assert SmallEq.from_text(text) == SmallEq(2, (0, 1), 2)
+    with pytest.raises(ValueError, match=re.escape(f"not a decimal numeral: {other!r}")):
+        SmallEq.from_text(text.replace(f"{field}: 2", f"{field}: {other}"))
 
 
 # -- the partition-kernel canonical form and meet against the old loops ---------

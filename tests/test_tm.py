@@ -735,8 +735,15 @@ class TestSteppingKernel:
         trajectory(m, "11", 7)
         simulate(m, "11", 8)
         halt_step(m, "11", 9)
-        halting_probe(m, "11", 10)
-        assert calls == [7, 8, 9, 11]
+        start = init_config(m, "11")
+        assert step(m, start) == _old_step(m, start)
+        assert calls == [7, 8, 9, 1]
+        calls.clear()
+        result = halting_probe(m, "11", 10)
+        # One run codes the trajectory; the fresh table that re-checks the
+        # positive witness steps each running configuration it decodes.
+        assert isinstance(result, HaltsInSteps)
+        assert calls == [11] + [1] * result.steps
 
 
 class TestSeededPointTable:

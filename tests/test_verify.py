@@ -3,6 +3,7 @@ from functools import cache
 
 import pytest
 
+from equlat import verify
 from equlat.partition import (
     Partition,
     UniverseMismatch,
@@ -12,9 +13,7 @@ from equlat.partition import (
 from equlat.verify import (
     CheckResult,
     _exhaustive_failures,
-    _pair_axiom_failures,
     _random_smalleq,
-    _triple_assoc_failures,
     chain_closure_join,
     complement_checks,
     construction_checks,
@@ -73,7 +72,50 @@ def test_run_suite_rejects_unknown():
         run_suite("nonsense")
 
 
-# -- table-driven exhaustive checks against the direct loops ------------------
+# -- table-driven checks against the direct loops ------------------------------
+
+# The direct loops over pairs and triples that the lattice suite once ran for
+# its random sample, kept as the oracle of the table-driven counts.
+_PAIR_AXIOMS = (
+    "meet idempotent",
+    "join idempotent",
+    "meet commutative",
+    "join commutative",
+    "absorption",
+    "order compatibility",
+)
+_TRIPLE_AXIOMS = ("meet associative", "join associative")
+
+
+def _pair_axiom_failures(pairs, meet_fn, join_fn):
+    fails = dict.fromkeys(_PAIR_AXIOMS, 0)
+    for e, f in pairs:
+        me = meet_fn(e, f)
+        je = join_fn(e, f)
+        if meet_fn(e, e) != e:
+            fails["meet idempotent"] += 1
+        if join_fn(e, e) != e:
+            fails["join idempotent"] += 1
+        if me != meet_fn(f, e):
+            fails["meet commutative"] += 1
+        if je != join_fn(f, e):
+            fails["join commutative"] += 1
+        if meet_fn(e, je) != e or join_fn(e, me) != e:
+            fails["absorption"] += 1
+        low = e.leq(f)
+        if low != (me == e) or low != (je == f):
+            fails["order compatibility"] += 1
+    return fails
+
+
+def _triple_assoc_failures(triples, meet_fn, join_fn):
+    fails = dict.fromkeys(_TRIPLE_AXIOMS, 0)
+    for e, f, g in triples:
+        if meet_fn(meet_fn(e, f), g) != meet_fn(e, meet_fn(f, g)):
+            fails["meet associative"] += 1
+        if join_fn(join_fn(e, f), g) != join_fn(e, join_fn(f, g)):
+            fails["join associative"] += 1
+    return fails
 
 
 def _loop_failures(n, meet_fn, join_fn):
@@ -226,6 +268,23 @@ class TestTableDrivenChecks:
         args = dict(rng_seed=20260809, random_pairs=300, max_exhaustive_n=5)
         assert lattice_checks(**args) == _loop_lattice_checks(
             Partition.meet, Partition.join, **args
+        )
+
+    @pytest.mark.parametrize("name", ["real", "meet returns e"])
+    def test_repeated_sample_partitions_match_direct_loops(self, monkeypatch, name):
+        # Drawn from four partitions, the sample repeats them within rows and
+        # across them; a repeat numbered twice would break the counts.
+        pool = [random_partition(10, random.Random(seed)) for seed in range(4)]
+
+        def draw(n, rng):
+            return pool[rng.randrange(len(pool))]
+
+        monkeypatch.setattr(verify, "random_partition", draw)
+        monkeypatch.setitem(globals(), "random_partition", draw)
+        meet_fn, join_fn = OPERATIONS[name]
+        args = dict(rng_seed=3, random_pairs=60, max_exhaustive_n=3)
+        assert lattice_checks(meet_fn, join_fn, **args) == _loop_lattice_checks(
+            meet_fn, join_fn, **args
         )
 
     def test_mismatched_universe_raises_as_the_loops_do(self):
