@@ -224,13 +224,11 @@ def bounded_join(
     keyed relations cost O(U log U) per search; a black-box relation tests
     the point against every unvisited candidate, O(U^2) in all.
     """
-    if isinstance(universe, int):
-        candidates = list(range(universe))
-    else:
-        candidates = sorted(set(universe))
+    allowed = range(universe) if isinstance(universe, int) else set(universe)
+    candidates = sorted(allowed)
     if candidates and candidates[0] < 0:
         raise ValueError("naturals only")
-    if m not in candidates or n not in candidates:
+    if m not in allowed or n not in allowed:
         raise ValueError("endpoints must lie in the search universe")
     if m == n:
         return RelatedWitness((m,), ())

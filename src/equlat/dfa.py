@@ -13,6 +13,8 @@ from collections import deque
 from itertools import chain, compress
 from typing import Callable, Iterable
 
+from .partition import numeral
+
 ALPHABET = ("0", "1", "B")
 _IDX = {"0": 0, "1": 1, "B": 2}
 
@@ -246,10 +248,9 @@ def dfa_from_text(text: str) -> Dfa:
     states = start = None
     accepting: list[int] = []
     rules: dict[int, int] = {}  # 3 * state + symbol index -> target
-    # Numbers are ASCII numerals; int() alone also reads "+1", "1_0" and
-    # non-ASCII digits.  No other field holds those characters, so the fields
-    # are searched for them only in a text that holds any.
-    suspect = "+" in text or "_" in text or not text.isascii()
+    # Numbers are ASCII numerals.  int() also reads "+1", "1_0" and non-ASCII
+    # digits, but on a text free of those characters it agrees with numeral.
+    num = numeral if "+" in text or "_" in text or not text.isascii() else int
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -258,22 +259,20 @@ def dfa_from_text(text: str) -> Dfa:
         try:
             if not colon:
                 raise ValueError
-            if suspect and any(not f.isascii() or "+" in f or "_" in f for f in rest.split()):
-                raise ValueError
             if kind == "trans":
                 src, sym, dst = rest.split()
                 if sym not in _IDX:
                     raise ValueError
-                key = 3 * int(src) + _IDX[sym]
+                key = 3 * num(src) + _IDX[sym]
                 if key in rules:
-                    raise ValueError(f"line {lineno}: duplicate transition {(int(src), sym)}")
-                rules[key] = int(dst)
+                    raise ValueError(f"line {lineno}: duplicate transition {(num(src), sym)}")
+                rules[key] = num(dst)
             elif kind == "states":
-                states = int(rest)
+                states = num(rest.strip())
             elif kind == "start":
-                start = int(rest)
+                start = num(rest.strip())
             elif kind == "accept":
-                accepting = [int(tok) for tok in rest.split()]
+                accepting = [num(tok) for tok in rest.split()]
             else:
                 raise ValueError
         except ValueError as exc:

@@ -43,7 +43,7 @@ class Partition:
     ``labels[x]`` is the least element of the class of ``x``.
     """
 
-    __slots__ = ("labels", "_classes")
+    __slots__ = ("labels",)
 
     def __init__(self, labels: Sequence[int]):
         labels = tuple(labels)
@@ -55,14 +55,12 @@ class Partition:
                     f"labeling is not canonical at element {x} (label {lab})"
                 )
         self.labels = labels
-        self._classes = None
 
     @classmethod
     def _mk(cls, labels: tuple[int, ...]) -> "Partition":
         # Fast path for internal construction of already-canonical labelings.
         p = object.__new__(cls)
         p.labels = labels
-        p._classes = None
         return p
 
     @classmethod
@@ -157,12 +155,10 @@ class Partition:
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """All classes, each sorted ascending, ordered by their labels."""
-        if self._classes is None:
-            groups: dict[int, list[int]] = {}
-            for x, lab in enumerate(self.labels):
-                groups.setdefault(lab, []).append(x)
-            self._classes = tuple(tuple(g) for g in groups.values())
-        return self._classes
+        groups: dict[int, list[int]] = {}
+        for x, lab in enumerate(self.labels):
+            groups.setdefault(lab, []).append(x)
+        return tuple(tuple(g) for g in groups.values())
 
     @property
     def class_count(self) -> int:

@@ -505,11 +505,12 @@ def halting_probe(
         points.append(SINK)
     info = _PointInfo(m)
     info.update(zip(points, enumerate(points[1:])))  # x_t -> (t, x_t+1)
-    candidates = set(points[:-1]) | {SINK}
+    # Distinct points: their clocks differ, and no configuration codes to 0.
+    window = points[:-1] + [SINK]
     chain_bound = 2 * step_bound + 2
-    universe_bound = max(candidates) + 1
+    universe_bound = max(window) + 1
     result = bounded_join(
-        _approx(m, 0, info), _approx(m, 1, info), points[0], SINK, candidates, chain_bound
+        _approx(m, 0, info), _approx(m, 1, info), points[0], SINK, window, chain_bound
     )
     if isinstance(result, RelatedWitness):
         # Independent of the incremental codes: the chain must start at the
@@ -517,7 +518,7 @@ def halting_probe(
         # fresh table decodes itself.
         fresh = _PointInfo(m)
         if result.chain[0] != pack_point(0, encode_config(m, c)) or not verify_chain(
-            _approx(m, 0, fresh), _approx(m, 1, fresh), result, candidates, chain_bound
+            _approx(m, 0, fresh), _approx(m, 1, fresh), result, window, chain_bound
         ):
             raise AssertionError("search returned an unverifiable chain")
         return HaltsInSteps(len(result.chain) - 2, result, universe_bound, chain_bound)

@@ -310,14 +310,14 @@ def automatic_checks() -> list[CheckResult]:
         )
     )
 
-    revalidated = 0
-    for rel in corpus.values():
-        am.AutomaticEq.from_dfa(rel.dfa)
-        revalidated += 1
+    negatives = [am.first_bit_differs_dfa(), am.shorter_than_dfa(), am.shared_feature_dfa()]
+    dfas = [rel.dfa for rel in corpus.values()] + negatives
+    # One admission per automaton; both rows below read its verdicts.
+    admitted = [[passed for _, passed in am.admission_checks(dfa)] for dfa in dfas]
     out.append(
         CheckResult(
             "corpus passes full admission checks",
-            revalidated == len(corpus),
+            all(map(all, admitted[: len(corpus)])),
             "format, reflexivity, symmetry, transitivity",
         )
     )
@@ -331,11 +331,9 @@ def automatic_checks() -> list[CheckResult]:
         )
     )
 
-    negatives = [am.first_bit_differs_dfa(), am.shorter_than_dfa(), am.shared_feature_dfa()]
-    agree = True
-    for dfa in [rel.dfa for rel in corpus.values()] + negatives:
-        got = tuple(passed for _, passed in am.admission_checks(dfa)[1:])
-        agree &= got == _brute_axioms(dfa)
+    agree = all(
+        tuple(verdicts[1:]) == _brute_axioms(dfa) for dfa, verdicts in zip(dfas, admitted)
+    )
     out.append(
         CheckResult(
             "axiom checkers agree with brute force",
@@ -442,17 +440,14 @@ def tm_checks(step_bound: int = 1000) -> list[CheckResult]:
     parity_ok = True
     for name in ("increment", "sweeper", "flipper"):
         m = zoo[name]
-        info = tmlab._PointInfo(m)
         points = [
             tmlab.pack_point(t, tmlab.encode_config(m, c))
             for t, c in enumerate(tmlab.trajectory(m, "11" if name != "flipper" else "", 10))
         ] + [tmlab.SINK]
-        for parity in (0, 1):
-            succs = {}
-            for x in points:
-                i = info[x]
-                if i is not None and i[0] % 2 == parity:
-                    succs[x] = i[1]
+        for approx in (tmlab.approx_even(m), tmlab.approx_odd(m)):
+            # A key is the successor where the clock parity gates the step
+            # (never the point itself), and the point elsewhere.
+            succs = {x: y for x in points if (y := approx.key(x)) != x}
             # successor is a function (one arrow per point, by construction);
             # assert that no arrow target has an outgoing arrow itself
             parity_ok &= all(target not in succs for target in succs.values())
@@ -576,12 +571,12 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
+def run_suite(name: str, tm_bound: int = 1000) -> list[CheckResult]:
+    """The rows of one suite, or of every suite in ``SUITES`` order for
+    "all"; ``tm_bound`` is the step bound of the tm suite."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {', '.join(SUITES)} or 'all'")
-    return SUITES[name](**kwargs)
+    results = []
+    for key in SUITES if name == "all" else [name]:
+        results += tm_checks(tm_bound) if key == "tm" else SUITES[key]()
+    return results

@@ -1,13 +1,18 @@
+import ast
 import operator
+import pathlib
 
 import pytest
 
+from equlat import automatic as am
+from equlat import cli
 from equlat import decider as dc
 from equlat import tm as tmlab
 from equlat import verify as vf
 from equlat.automatic import corpus, shared_feature_dfa
 from equlat.cli import (
     MAX_CHECK_BOUND,
+    MAX_MEET_GROWTH_K,
     MAX_PROBE_BOUND,
     MAX_RUN_BOUND,
     main,
@@ -344,6 +349,18 @@ class TestVerifyCommand:
         assert code == 0
         assert "[FAIL]" not in out
 
+    def test_automatic_suite_reports_a_bad_corpus_entry(self, capsys, monkeypatch):
+        # A corpus relation that fails transitivity fails its row; the suite
+        # still prints every row.
+        real = am.corpus
+        bad = am.AutomaticEq._trust(shared_feature_dfa())
+        monkeypatch.setattr(am, "corpus", lambda: {**real(), "bad": bad})
+        code, out, err = run(capsys, "verify", "automatic")
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        assert lines[1].startswith("[FAIL] corpus passes full admission checks -- ")
+        assert len(lines) == 10 and lines[-1].endswith("/9 checks passed")
+
 
 class TestExitContract:
     def test_missing_file(self, capsys):
@@ -485,6 +502,19 @@ class TestExitContract:
         assert code == 2 and out == "" and simulate_bounds == []
         assert err == f"error: k {MAX_RUN_BOUND + 1} is above the limit {MAX_RUN_BOUND}\n"
 
+    def test_meet_growth_k_limit(self, capsys, monkeypatch):
+        ks = []
+        monkeypatch.setattr(
+            am, "family_meet_demo", lambda k: ks.append(k) or list(range(2, k + 2))
+        )
+        argv = ("demo", "automatic-meet-growth", "--k")
+        code, out, err = run(capsys, *argv, str(MAX_MEET_GROWTH_K))
+        assert code == 0 and err == "" and "[PASS]" in out and ks == [MAX_MEET_GROWTH_K]
+        ks.clear()
+        code, out, err = run(capsys, *argv, str(MAX_MEET_GROWTH_K + 1))
+        assert code == 2 and out == "" and ks == []
+        assert err == f"error: k {MAX_MEET_GROWTH_K + 1} is above the limit {MAX_MEET_GROWTH_K}\n"
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_nonhalt_meet_level_validated_first(self, capsys, k):
         code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", k)
@@ -530,3 +560,25 @@ def test_number_arguments_are_ascii_numerals(capsys, tmp_path, argv):
         out, err = capsys.readouterr()
         assert code == 2 and out == "", (two, out)
         assert repr(two) in err
+
+
+@pytest.mark.parametrize("module", [cli, vf], ids=lambda m: m.__name__)
+def test_no_private_names_of_other_modules(module):
+    """The CLI and the suites reach other equlat modules only through public
+    names: no ``alias._name`` for a module imported as ``alias``."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    private = [
+        f"line {node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+        and node.attr.startswith("_")
+    ]
+    assert aliases and private == []

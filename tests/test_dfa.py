@@ -515,6 +515,23 @@ class TestParserMatchesOldParser:
                     with pytest.raises(ValueError, match=rf"^line {i + 1}: cannot parse"):
                         dfa_from_text("\n".join(bad))
 
+    def test_duplicate_found_before_a_bad_target(self):
+        # The repeated transition (0, 1) is refused before its target is read.
+        text = "states: 1\nstart: 0\naccept:\ntrans: 0 0 0\ntrans: 0 1 0\ntrans: 0 B 0\n"
+        text += "trans: 0 1 0+\n"
+        for parse in (dfa_from_text, _old_dfa_from_text):
+            with pytest.raises(ValueError, match=r"^line 7: duplicate transition \(0, '1'\)$"):
+                parse(text)
+
+    def test_padded_header_with_a_later_bad_numeral(self):
+        # A header's padding is no error in a text that holds a "+"; only the
+        # bad numeral on line 6 is.
+        text = "states:  1\nstart:  0\naccept:\ntrans: 0 0 0\ntrans: 0 1 0\ntrans: 0 B {}\n"
+        assert _fields(dfa_from_text(text.format("0"))) == (((0, 0, 0),), 0, frozenset())
+        for parse in (dfa_from_text, _old_dfa_from_text):
+            with pytest.raises(ValueError, match=r"^line 6: cannot parse"):
+                parse(text.format("+0"))
+
     def test_huge_state_header_fails_fast(self):
         text = "states: 1000000000000\nstart: 0\naccept:\ntrans: 0 0 0\n"
         with pytest.raises(ValueError, match=r"^transition table not total: missing \(0, 1\)$"):

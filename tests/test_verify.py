@@ -3,6 +3,7 @@ from functools import cache
 
 import pytest
 
+from equlat import automatic as am
 from equlat import verify
 from equlat.partition import (
     Partition,
@@ -14,6 +15,7 @@ from equlat.verify import (
     CheckResult,
     _exhaustive_failures,
     _random_smalleq,
+    automatic_checks,
     chain_closure_join,
     complement_checks,
     construction_checks,
@@ -63,6 +65,15 @@ def test_complement_suite_passes():
 
 def test_construction_suite_passes():
     assert all(r.passed for r in construction_checks())
+
+
+def test_automatic_suite_admits_each_automaton_once(monkeypatch):
+    # Every corpus DFA and each of the three negative controls.
+    admitted = []
+    real = am._admission
+    monkeypatch.setattr(am, "_admission", lambda d: admitted.append(d) or real(d))
+    assert all(r.passed for r in automatic_checks())
+    assert len(admitted) == len(am.corpus()) + 3
 
 
 def test_run_suite_rejects_unknown():
