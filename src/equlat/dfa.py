@@ -248,9 +248,6 @@ def dfa_from_text(text: str) -> Dfa:
     states = start = None
     accepting: list[int] = []
     rules: dict[int, int] = {}  # 3 * state + symbol index -> target
-    # Numbers are ASCII numerals.  int() also reads "+1", "1_0" and non-ASCII
-    # digits, but on a text free of those characters it agrees with numeral.
-    num = numeral if "+" in text or "_" in text or not text.isascii() else int
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -263,16 +260,16 @@ def dfa_from_text(text: str) -> Dfa:
                 src, sym, dst = rest.split()
                 if sym not in _IDX:
                     raise ValueError
-                key = 3 * num(src) + _IDX[sym]
+                key = 3 * numeral(src) + _IDX[sym]
                 if key in rules:
-                    raise ValueError(f"line {lineno}: duplicate transition {(num(src), sym)}")
-                rules[key] = num(dst)
+                    raise ValueError(f"line {lineno}: duplicate transition {(numeral(src), sym)}")
+                rules[key] = numeral(dst)
             elif kind == "states":
-                states = num(rest.strip())
+                states = numeral(rest.strip())
             elif kind == "start":
-                start = num(rest.strip())
+                start = numeral(rest.strip())
             elif kind == "accept":
-                accepting = [num(tok) for tok in rest.split()]
+                accepting = [numeral(tok) for tok in rest.split()]
             else:
                 raise ValueError
         except ValueError as exc:

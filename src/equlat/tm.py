@@ -505,7 +505,6 @@ def halting_probe(
         points.append(SINK)
     info = _PointInfo(m)
     info.update(zip(points, enumerate(points[1:])))  # x_t -> (t, x_t+1)
-    # Distinct points: their clocks differ, and no configuration codes to 0.
     window = points[:-1] + [SINK]
     chain_bound = 2 * step_bound + 2
     universe_bound = max(window) + 1
