@@ -176,18 +176,31 @@ def least_element_complement(d: DeciderEq) -> DeciderEq:
     ``d``; always a complement of ``d``.
 
     m ~ n iff m == n or neither has a smaller d-related number (both are
-    least in their classes).  The scans over all smaller numbers make this
-    linear-space and exponential-time in the input length.  The result is
-    keyed for every ``d`` (least elements share one key, the rest are
-    singletons), so ``restrict`` and ``bounded_join`` group by key.
+    least in their classes).  For a black-box ``d`` each x scans all smaller
+    numbers; for a keyed ``d`` one ascending pass, up to the largest x asked,
+    keeps the least number of each key, so memory follows that x.  Either
+    way the time is exponential in the input length.  The result is keyed
+    for every ``d`` (least elements share one key, the rest are singletons),
+    so ``restrict`` and ``bounded_join`` group by key.
     """
     cost_note = (
         f"least-element complement of ({d.cost_note}); "
         "scans all smaller values: linear space, exponential time"
     )
-    return singular_from_predicate(
-        lambda x: not any(d._fn(k, x) for k in range(x)), cost_note
-    )
+    if d.key is None:
+        return singular_from_predicate(
+            lambda x: not any(d._fn(k, x) for k in range(x)), cost_note
+        )
+    key, first, scanned = d.key, {}, 0  # first: key -> least number below scanned
+
+    def least(x: int) -> bool:
+        nonlocal scanned
+        for y in range(scanned, x + 1):
+            first.setdefault(key(y), y)
+        scanned = max(scanned, x + 1)
+        return first[key(x)] == x
+
+    return singular_from_predicate(least, cost_note)
 
 
 @dataclass(frozen=True)

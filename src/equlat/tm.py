@@ -25,9 +25,9 @@ Configuration coding, bit-exactly:
 One loop steps every run, on a list tape edited in place: ``step`` is one
 step of it, ``simulate`` keeps the last configuration, ``trajectory`` copies
 out each one, and a halting probe derives each point's code from its
-predecessor's and the at most two cells the step changed.  The probe's point
-table is pre-filled from those codes, so its search decodes nothing; codes
-are decoded only to re-check a positive witness against a fresh table.
+predecessor's and the at most two cells the step changed.  Its join search
+runs on clock indices, so it hashes no packed point and decodes nothing;
+points are decoded only to re-check a positive chain against a fresh table.
 
 Machine descriptions are serialized through the same text format the zoo
 files use and coded as bijective numerals over a fixed character alphabet,
@@ -233,7 +233,7 @@ class _Numerals:
     arithmetic instead of one big-number step per digit.
     """
 
-    _LEAF = 32  # digits split off one at a time below this width
+    _LEAF = 32  # a power of two; digits are read one at a time within this width
 
     def __init__(self, alphabet: Sequence[str]):
         self.alphabet = tuple(alphabet)
@@ -253,10 +253,17 @@ class _Numerals:
         return powers[j]
 
     def to_nat(self, s: str) -> int:
-        # Pairwise: after round j every entry is a block of 2^j digits, the
-        # first possibly shorter; a zero pads the front where a pair is short.
-        blocks = [self._value[ch] for ch in s]
-        j = 0
+        # Digit by digit in blocks of _LEAF digits, the first possibly shorter,
+        # then pairwise: after round j every entry is a block of 2^j digits,
+        # and a zero pads the front where a pair is short.
+        k, value, leaf = self.k, self._value, self._LEAF
+        blocks = []
+        for end in range(len(s) % leaf or leaf, len(s) + 1, leaf):
+            n = 0
+            for ch in s[max(end - leaf, 0) : end]:
+                n = n * k + value[ch]
+            blocks.append(n)
+        j = leaf.bit_length() - 1
         while len(blocks) > 1:
             if len(blocks) % 2:
                 blocks.insert(0, 0)
@@ -399,8 +406,7 @@ def unpack_point(x: int) -> tuple[int, int]:
 
 class _PointInfo(dict):
     """x -> (clock, arrow target) for valid non-sink points, None for every
-    other natural.  A plain dict memo: a miss decodes x, and a probe
-    pre-fills the points of the trajectory it has simulated."""
+    other natural.  A plain dict memo: a miss decodes x."""
 
     __slots__ = ("m",)
 
@@ -493,28 +499,36 @@ def halting_probe(
     largest packed code reachable in that many steps), and the chain bound is
     2 * step_bound + 2.
 
-    Each trajectory point is coded once and pre-filled into the point table
-    with its clock and successor (the sink after a halted configuration), so
-    the search decodes nothing.  A positive answer carries a chain that has
-    been re-checked against a freshly decoding table.
+    The search runs on clock indices keyed as the points they stand for:
+    index t is the window's point of clock t, the last index the sink, and
+    the index past the window the point after the bound.  Points are packed
+    for the universe bound and for a positive answer's chain, which is
+    re-checked against a freshly decoding point table.
     """
     c = _start(m, input_str, step_bound)
-    # One step past the bound gives the last point's successor.
-    points = [pack_point(t, code) for t, code in enumerate(_run_codes(m, c, step_bound + 1))]
-    if len(points) <= step_bound + 1:  # halted within the bound
-        points.append(SINK)
-    info = _PointInfo(m)
-    info.update(zip(points, enumerate(points[1:])))  # x_t -> (t, x_t+1)
-    window = points[:-1] + [SINK]
+    # One step past the bound tells whether the last clock's point halts.
+    codes = _run_codes(m, c, step_bound + 1)
+    halted = len(codes) <= step_bound + 1
+    del codes[step_bound + 1 :]
+    size = len(codes) + 1  # clocks 0..size-2, then the sink
     chain_bound = 2 * step_bound + 2
-    universe_bound = max(window) + 1
-    result = bounded_join(
-        _approx(m, 0, info), _approx(m, 1, info), points[0], SINK, window, chain_bound
-    )
+    # cantor_pair orders pairs by their sum, then by the code, and the sink 0
+    # lies below every point, so one packing gives the largest point.
+    top = max(enumerate(codes), key=lambda point: (point[0] + point[1], point[1]))
+    universe_bound = pack_point(*top) + 1
+    # Under the closure of its parity index t keys to t + 1; the last clock
+    # steps to the sink, or to the index past the window.
+    keys = [list(range(size)), list(range(size))]
+    for t in range(size - 1):
+        keys[t % 2][t] = t + 1 if t < size - 2 or halted else size
+    even, odd = (DeciderEq.from_key(key.__getitem__) for key in keys)
+    result = bounded_join(even, odd, 0, size - 1, size, chain_bound)
     if isinstance(result, RelatedWitness):
         # Independent of the incremental codes: the chain must start at the
         # encoded initial configuration and hold link by link on points the
         # fresh table decodes itself.
+        window = [pack_point(t, code) for t, code in enumerate(codes)] + [SINK]
+        result = RelatedWitness(tuple(window[t] for t in result.chain), result.links)
         fresh = _PointInfo(m)
         if result.chain[0] != pack_point(0, encode_config(m, c)) or not verify_chain(
             _approx(m, 0, fresh), _approx(m, 1, fresh), result, window, chain_bound

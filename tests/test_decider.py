@@ -425,6 +425,40 @@ class TestKeyedComplementMatchesClosure:
                 )
 
 
+def _scanning_complement(d: DeciderEq) -> DeciderEq:
+    """The least-element complement as it was before a keyed input took one
+    ascending pass, kept as the oracle: every x scans each smaller value for
+    a d-related one.  The scan is memoized per value; it is a pure function
+    of it."""
+    return singular_from_predicate(
+        lru_cache(maxsize=None)(lambda x: not any(d._fn(k, x) for k in range(x)))
+    )
+
+
+class TestKeyedComplementMatchesScan:
+    """On keyed inputs the one-pass complement is the old per-value scan."""
+
+    def test_restrict(self):
+        for name, d in _cli_keyed_builtins().items():
+            fast, scan = least_element_complement(d), _scanning_complement(d)
+            # The smaller sizes come after 300, when the pass is already past them.
+            for n in (300, 1, 2, 37):
+                assert fast.restrict(n) == scan.restrict(n), (name, n)
+
+    def test_scattered_decide_pairs(self):
+        rng = random.Random(33)
+        outcomes = set()
+        for name, d in _cli_keyed_builtins().items():
+            fast, scan = least_element_complement(d), _scanning_complement(d)
+            for _ in range(25):
+                top = rng.choice((8, 64, 1000))
+                m, n = rng.randrange(top), rng.randrange(top)
+                answer = fast.decide(m, n)
+                assert answer == scan.decide(m, n), (name, m, n)
+                outcomes.add(answer and m != n)
+        assert outcomes == {False, True}
+
+
 class TestVerifyChain:
     def test_rejects_wrong_links(self):
         d = bottom_decider()

@@ -314,6 +314,19 @@ class TestNumerals:
                 assert numerals.to_nat(text) == n
                 assert numerals.to_string(n) == text
 
+    def test_to_nat_leaf_and_block_edges(self):
+        # Every length up to 200, the block edges at 32 and 64 digits, and
+        # long strings, on the smallest and a large alphabet.
+        rng = random.Random(28)
+        lengths = [*range(201), 31, 32, 33, 63, 64, 65, 1000, 4000]
+        for alphabet in ("ab", [chr(ord("0") + i) for i in range(54)]):
+            numerals = _Numerals(alphabet)
+            for length in lengths:
+                text = "".join(rng.choice(alphabet) for _ in range(length))
+                n = numerals.to_nat(text)
+                assert n == _loop_string_to_nat(text, alphabet), (len(alphabet), length)
+                assert numerals.to_string(n) == text
+
     def test_configuration_codes_unchanged_along_long_runs(self):
         for name in ("builder", "shuttle", "sweeper"):
             m = zoo()[name]
@@ -486,6 +499,21 @@ class TestProbeKeyedJoin:
                 inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 6)))
                 self.check(m, inp, rng.randrange(50, 250))
 
+    def test_random_machines_around_their_halting_step(self):
+        rng = random.Random(59)
+        seen = set()
+        for m in _random_machines(58, 80):
+            symbols = [a for a in m.alphabet if a != tm.ENDMARKER]
+            inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(4)))
+            h = halt_step(m, inp, 60)
+            bounds = {0} | ({h - 1, h, h + 1} if h is not None else {rng.randrange(1, 60)})
+            for bound in sorted(bounds - {-1}):
+                self.check(m, inp, bound)
+                halts = h is not None and h <= bound
+                # a run's last index, bound, is gated under the closure of its parity
+                seen.add(("halts at", h % 2) if halts else ("runs past", bound % 2))
+        assert seen == {("halts at", 0), ("halts at", 1), ("runs past", 0), ("runs past", 1)}
+
 
 class TestHaltingProbe:
     def test_immediate_halt(self):
@@ -651,21 +679,6 @@ def _coding_runs():
             yield m, _old_trajectory(m, inp, rng.randrange(0, 120))
 
 
-def _probe_tables(monkeypatch, m, input_str, bound):
-    """The probe's result and every point table it made, in order."""
-    tables = []
-
-    def recording(machine):
-        table = _PointInfo(machine)
-        tables.append(table)
-        return table
-
-    monkeypatch.setattr(tm, "_PointInfo", recording)
-    result = halting_probe(m, input_str, bound)
-    monkeypatch.undo()
-    return result, tables
-
-
 class TestIncrementalCodes:
     def test_codes_equal_encode_config(self):
         seen = {"growth": 0, "shrink": 0, "last-cell write": 0, "head at cell 0": 0}
@@ -746,28 +759,37 @@ class TestSteppingKernel:
         assert calls == [11] + [1] * result.steps
 
 
-class TestSeededPointTable:
-    def test_seeded_equals_decoded(self, monkeypatch):
+class TestClockIndexKeys:
+    def test_index_keys_equal_decoded_point_keys(self, monkeypatch):
+        # The search's keys on clock indices, mapped through the window (the
+        # index past it to the point after the bound), are the keys a freshly
+        # decoding table gives the window's points.
         rng = random.Random(26)
         cases = [(_long_halt(), "", 400), (_long_halt(), "", 200), (_long_halt(), "1011", 300)]
         for m in zoo().values():
             symbols = [a for a in m.alphabet if a != ">"]
             inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(1, 9)))
             cases += [(m, "", 61), (m, inp, 40)]
+        real = tm.bounded_join
         outcomes = set()
         for m, input_str, bound in cases:
-            configs = trajectory(m, input_str, bound)
+            searches = []
+            monkeypatch.setattr(tm, "bounded_join", lambda *a: searches.append(a) or real(*a))
+            result = halting_probe(m, input_str, bound)
+            monkeypatch.undo()
+            (even, odd, start, end, size, chain_bound), = searches
+            configs = trajectory(m, input_str, bound + 1)
             points = [pack_point(t, encode_config(m, c)) for t, c in enumerate(configs)]
-            result, tables = _probe_tables(monkeypatch, m, input_str, bound)
-            seeded, decoded = tables[0], _PointInfo(m)
-            assert all(x in seeded for x in points)
-            for x in points:
-                assert seeded[x] == decoded[x], (m.name, input_str, unpack_point(x)[0])
-            halted = configs[-1].state in m.halting
-            assert (seeded[points[-1]][1] == SINK) == halted
+            window = points[: bound + 1] + [SINK]
+            halted = len(configs) <= bound + 1
+            assert (start, end, size, chain_bound) == (0, len(window) - 1, len(window), 2 * bound + 2)
+            named = window + points[bound + 1 :]
+            for parity, d in ((0, even), (1, odd)):
+                decoded = tm._approx(m, parity, _PointInfo(m))
+                for t in range(size):
+                    assert named[d.key(t)] == decoded.key(window[t]), (m.name, parity, t)
             assert isinstance(result, HaltsInSteps) == halted
-            # a positive answer is re-checked on one fresh table, a negative one is not
-            assert len(tables) == (2 if halted else 1)
+            assert result.universe_bound == max(window) + 1
             outcomes.add(halted)
         assert outcomes == {False, True}
 
