@@ -208,9 +208,11 @@ MAX_CHECK_BOUND = 512
 # nonhalt-meet demo twice k steps per zoo machine.
 MAX_RUN_BOUND = 100_000
 # A halting probe keeps one coded point per step, each a bit per tape cell
-# long, so its time and memory grow as B^2 (`tm probe`, the join-undecidable
-# demo and `verify tm`).
+# long: memory grows as B^2 and time about as B^1.3 to B^1.4 (`tm probe`,
+# the join-undecidable demo and `verify tm`).
 MAX_PROBE_BOUND = 4_000
+# `complement` keeps about 100 bytes per value up to the largest value asked.
+MAX_COMPLEMENT_VALUE = 100_000
 # The automatic-meet-growth demo folds k meets of ever larger automata; its
 # time grows faster than k^2 (1.3 s at k = 256, 19.5 s at 1024).
 MAX_MEET_GROWTH_K = 256
@@ -227,6 +229,9 @@ def cmd_decider(args) -> int:
         if len(args.values) != 2:
             print("usage: equlat decider decide EXPR M N", file=sys.stderr)
             return 2
+        calls = ast.walk(ast.parse(args.expr.strip(), mode="eval"))
+        if any(isinstance(node, ast.Call) and node.func.id == "complement" for node in calls):
+            _check_limit("value", max(args.values), MAX_COMPLEMENT_VALUE)
         print("true" if rel.decide(args.values[0], args.values[1]) else "false")
         return 0
     if args.op == "restrict":

@@ -13,7 +13,6 @@ bounded, witness-producing join search is offered: its negative answer means
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
@@ -246,18 +245,22 @@ def bounded_join(
     if m == n:
         return RelatedWitness((m,), ())
     parent: dict[int, int] = {m: m}
-    near = (_neighbours(d1, candidates, parent), _neighbours(d2, candidates, parent))
-    frontier = deque([m])
-    depth = 0
-    while frontier and depth < chain_bound:
+    near = (_neighbours(d1, candidates), _neighbours(d2, candidates))
+    level, depth = [m], 0
+    while level and depth < chain_bound:
         depth += 1
-        for _ in range(len(frontier)):
-            x = frontier.popleft()
-            found = []
-            for neighbours in near:
-                for y in neighbours(x):
-                    parent[y] = x
-                    found.append(y)
+        found = []
+        for x in level:
+            new = []
+            for fn, buckets in near:
+                if buckets is None:
+                    ys = [y for y in candidates if y not in parent and fn(x, y)]
+                else:
+                    ys = buckets.pop(fn(x), ())
+                for y in ys:
+                    if y not in parent:
+                        parent[y] = x
+                        new.append(y)
             if n in parent:
                 chain = [n]
                 while chain[-1] != m:
@@ -267,27 +270,20 @@ def bounded_join(
                     "left" if d1._fn(a, b) else "right" for a, b in zip(chain, chain[1:])
                 )
                 return RelatedWitness(tuple(chain), links)
-            frontier.extend(sorted(found))
+            found += sorted(new)
+        level = found
     return NotWithinBounds(explored=len(parent))
 
 
-def _neighbours(
-    d: DeciderEq, candidates: list[int], visited: dict[int, int]
-) -> Callable[[int], list[int]]:
-    """x -> the unvisited candidates related to x under d, ascending.
-
-    A keyed relation hands over x's key bucket and drops it: every member is
-    visited from then on, so a later point of that class has nothing left to
-    find there.  A black-box relation is tested on each unvisited candidate.
-    """
+def _neighbours(d: DeciderEq, candidates: list[int]) -> tuple[Callable, dict | None]:
+    """(key, key -> its candidates ascending), or (the black-box test, None).
+    An expanded point drops its key bucket, whose members are all visited."""
     if d.key is None:
-        fn = d._fn
-        return lambda x: [y for y in candidates if y not in visited and fn(x, y)]
-    key = d.key
+        return d._fn, None
     buckets: dict[Hashable, list[int]] = {}
-    for y in candidates:
-        buckets.setdefault(key(y), []).append(y)
-    return lambda x: [y for y in buckets.pop(key(x), ()) if y not in visited]
+    for y, k in zip(candidates, map(d.key, candidates)):
+        buckets.setdefault(k, []).append(y)
+    return d.key, buckets
 
 
 def verify_chain(

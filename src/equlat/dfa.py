@@ -30,11 +30,6 @@ def pair_word(m: int, n: int) -> str:
     return binary(m) + "B" + binary(n)
 
 
-def is_canonical_number(word: str) -> bool:
-    """True iff word is a canonical binary numeral over {0,1}."""
-    return word == "0" or (word.startswith("1") and set(word) <= {"0", "1"})
-
-
 def _states_below(n: int, states: Iterable) -> bool:
     """True iff every one of ``states`` is an int in range(n), for n >= 1."""
     states = list(states)

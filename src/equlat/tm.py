@@ -37,7 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress, repeat
 from math import isqrt
+from operator import ge
 from typing import Callable, Mapping, Sequence
 
 from importlib import resources
@@ -512,15 +514,17 @@ def halting_probe(
     del codes[step_bound + 1 :]
     size = len(codes) + 1  # clocks 0..size-2, then the sink
     chain_bound = 2 * step_bound + 2
-    # cantor_pair orders pairs by their sum, then by the code, and the sink 0
-    # lies below every point, so one packing gives the largest point.
-    top = max(enumerate(codes), key=lambda point: (point[0] + point[1], point[1]))
-    universe_bound = pack_point(*top) + 1
+    # cantor_pair orders pairs by sum, then by code, and the sink 0 lies below
+    # every point.  A clock is below size: a code size below the top cannot win.
+    near = compress(range(size - 1), map(ge, codes, repeat(max(codes) - size)))
+    top = max(near, key=lambda t: (t + codes[t], codes[t]))
+    universe_bound = pack_point(top, codes[top]) + 1
     # Under the closure of its parity index t keys to t + 1; the last clock
     # steps to the sink, or to the index past the window.
     keys = [list(range(size)), list(range(size))]
-    for t in range(size - 1):
-        keys[t % 2][t] = t + 1 if t < size - 2 or halted else size
+    for parity in (0, 1):
+        keys[parity][parity : size - 1 : 2] = range(parity + 1, size, 2)
+    keys[size % 2][size - 2] = size - 1 if halted else size
     even, odd = (DeciderEq.from_key(key.__getitem__) for key in keys)
     result = bounded_join(even, odd, 0, size - 1, size, chain_bound)
     if isinstance(result, RelatedWitness):

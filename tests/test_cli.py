@@ -12,6 +12,7 @@ from equlat import verify as vf
 from equlat.automatic import corpus, shared_feature_dfa
 from equlat.cli import (
     MAX_CHECK_BOUND,
+    MAX_COMPLEMENT_VALUE,
     MAX_MEET_GROWTH_K,
     MAX_PROBE_BOUND,
     MAX_RUN_BOUND,
@@ -230,6 +231,29 @@ class TestDeciderCommands:
         assert err == (
             f"error: nonhalt step bound {MAX_RUN_BOUND + 1} is above the limit {MAX_RUN_BOUND}\n"
         )
+
+    @pytest.mark.parametrize("expr", ["complement(bottom)", "meet(parity, complement (top))"])
+    def test_complement_value_limit(self, capsys, monkeypatch, expr):
+        # The complement is stubbed by equality, recording the values asked.
+        asked = []
+
+        def stub(d):
+            return dc.DeciderEq.from_key(lambda x: asked.append(x) or x)
+
+        monkeypatch.setattr(dc, "least_element_complement", stub)
+        limit = MAX_COMPLEMENT_VALUE
+        code, out, err = run(capsys, "decider", "decide", expr, "0", str(limit))
+        assert (code, out, err) == (0, "false\n", "") and asked == [0, limit]
+        for m, n in ((0, limit + 1), (limit + 1, 0)):
+            asked.clear()
+            code, out, err = run(capsys, "decider", "decide", expr, str(m), str(n))
+            assert code == 2 and out == "" and asked == []
+            assert err == f"error: value {limit + 1} is above the limit {limit}\n"
+
+    def test_values_unlimited_without_complement(self, capsys):
+        big = str(10**30)
+        code, out, err = run(capsys, "decider", "decide", "meet(parity, singular(even))", big, big)
+        assert (code, out, err) == (0, "true\n", "")
 
 
 class TestTmCommands:

@@ -322,6 +322,38 @@ class TestKeyedJoinMatchesScan:
             results = _join_variants(d1, d2, m, n, u, rng.randrange(1, 6))
             assert all(r == results[0] for r in results)
 
+    def test_black_box_test_counts(self):
+        # The search order fixes how many tests each black box receives, the
+        # link labels included.  The totals are those the closure-per-point
+        # search made before this loop replaced it.
+        def counted(d, tests):
+            def fn(a, b):
+                tests[0] += 1
+                return d.decide(a, b)
+
+            return DeciderEq(fn, check_bound=0)
+
+        rng = random.Random(14)
+        relations = list(_keyed_builtins().values())
+        totals = {"left": [0, 0], "right": [0, 0], "both": [0, 0]}
+        for case in range(80):
+            d1, d2 = rng.choice(relations), rng.choice(relations)
+            u = rng.randrange(2, 80)
+            universe = u if case % 2 else rng.sample(range(u + 10), u)
+            pool = range(u) if case % 2 else universe
+            m, n, bound = rng.choice(pool), rng.choice(pool), rng.randrange(0, 8)
+            for kind, boxed in (("left", (0,)), ("right", (1,)), ("both", (0, 1))):
+                tests = [0]
+                pair = [counted(d, tests) if i in boxed else d for i, d in enumerate((d1, d2))]
+                bounded_join(*pair, m, n, universe, bound)
+                totals[kind][0] += tests[0]
+                totals[kind][1] += case * tests[0]
+        assert totals == {
+            "left": [8666, 314647],
+            "right": [7967, 287344],
+            "both": [16633, 601991],
+        }
+
 
 def _closure_complement(d: DeciderEq) -> DeciderEq:
     """The least-element complement as the closure that the keyed

@@ -12,7 +12,6 @@ from equlat.dfa import (
     dfa_from_text,
     dfa_to_text,
     equivalent,
-    is_canonical_number,
     is_empty,
     minimize,
     pair_format_dfa,
@@ -25,7 +24,7 @@ from equlat.dfa import (
 @given(st.integers(0, 10**9))
 def test_binary_is_canonical(n):
     w = binary(n)
-    assert is_canonical_number(w)
+    assert w == "0" or (w.startswith("1") and set(w) <= {"0", "1"})
     assert int(w, 2) == n
 
 

@@ -468,20 +468,24 @@ class TestApproxKey:
 
 
 def _scanning_probe_join(m, input_str, bound):
-    """The join search halting_probe makes, on key-stripped closures."""
+    """The join search halting_probe makes, on key-stripped closures, and
+    the packed points of its window."""
     configs = trajectory(m, input_str, bound)
     points = [pack_point(t, encode_config(m, c)) for t, c in enumerate(configs)]
     even, odd = (DeciderEq(d.decide, check_bound=0) for d in (approx_even(m), approx_odd(m)))
-    return bounded_join(even, odd, points[0], SINK, set(points) | {SINK}, 2 * bound + 2)
+    return bounded_join(even, odd, points[0], SINK, set(points) | {SINK}, 2 * bound + 2), points
 
 
 class TestProbeKeyedJoin:
     """The probe's bucketed join returns the chain, links and explored count
-    of the scanning join on every zoo machine."""
+    of the scanning join on every zoo machine, and the bounds of its
+    window."""
 
     def check(self, m, input_str, bound):
         probe = halting_probe(m, input_str, bound)
-        scan = _scanning_probe_join(m, input_str, bound)
+        scan, points = _scanning_probe_join(m, input_str, bound)
+        assert probe.universe_bound == max(points) + 1
+        assert probe.chain_bound == 2 * bound + 2
         if isinstance(probe, HaltsInSteps):
             assert probe.witness == scan
         else:
@@ -873,7 +877,7 @@ class TestLongHaltingMachine:
     def test_probe_at_and_below_halting_step(self, bound):
         m = _long_halt()
         probe = halting_probe(m, "", bound)
-        scan = _scanning_probe_join(m, "", bound)
+        scan, _ = _scanning_probe_join(m, "", bound)
         if bound >= 325:
             assert isinstance(probe, HaltsInSteps) and probe.steps == 325
             assert probe.witness == scan
