@@ -216,6 +216,18 @@ MAX_COMPLEMENT_VALUE = 100_000
 # The automatic-meet-growth demo folds k meets of ever larger automata; its
 # time grows faster than k^2 (1.3 s at k = 256, 19.5 s at 1024).
 MAX_MEET_GROWTH_K = 256
+# `family meet` and the family-meet demo build member i with cuts[i] labels
+# for each i <= k, so the sum of those cuts bounds both the work and the
+# largest cut, cuts[k], which sizes the result (0.3-0.6 s and 34-46 MB at
+# the limit in one cut; 2,000 cuts 1..2000 took 1.1 s).
+MAX_FAMILY_CUTS = 100_000
+# `family meet --restrict N` materializes N elements (0.17 s, 29 MB at N =
+# 100,000).
+MAX_RESTRICT = 100_000
+# The atoms demo joins one n-element partition per member of its set
+# (0.56 s, 47 MB at n = 100,000 with three members; the joins alone took
+# 18 s at n = 10,000 with 5,000 members).
+MAX_ATOMS_WORK = 300_000
 
 
 def _check_limit(what: str, value: int, limit: int) -> None:
@@ -310,10 +322,13 @@ def _family_spec(args) -> cs.SingularFamilySpec | None:
     if args.k >= len(cuts):
         print(f"--k must be below the number of cuts ({len(cuts)})", file=sys.stderr)
         return None
+    if args.k >= 0:  # a negative k is refused by the meet itself
+        _check_limit("sum of the cuts up to k", sum(cuts[: args.k + 1]), MAX_FAMILY_CUTS)
     return spec
 
 
 def cmd_family(args) -> int:
+    _check_limit("restrict size", args.restrict or 0, MAX_RESTRICT)
     spec = _family_spec(args)
     if spec is None:
         return 2
@@ -391,13 +406,15 @@ def demo_nonhalt_meet(args) -> int:
 
 def demo_atoms(args) -> int:
     members = sorted(numeral(tok.strip()) for tok in args.set.split(","))
-    print(f"atoms joining to the singular relation with class {members} on n={args.n}:")
+    big = set(members)
+    _check_limit("n times the set's members", args.n * len(big), MAX_ATOMS_WORK)
     atoms = cs.star_atoms(members, args.n)
+    print(f"atoms joining to the singular relation with class {members} on n={args.n}:")
     print("atoms:", " ".join(f"({a.a},{a.b})" for a in atoms))
     result = cs.atoms_to_singular(members, args.n)
     sys.stdout.write(result.to_text())
     expected = Partition.from_classes(
-        [members] + [[x] for x in range(args.n) if x not in set(members)]
+        [members] + [[x] for x in range(args.n) if x not in big]
     )
     ok = result == expected
     print(f"[{'PASS' if ok else 'FAIL'}] join of the atoms is that singular relation")

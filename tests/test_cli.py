@@ -10,11 +10,15 @@ from equlat import decider as dc
 from equlat import tm as tmlab
 from equlat import verify as vf
 from equlat.automatic import corpus, shared_feature_dfa
+from equlat import constructions as cs
 from equlat.cli import (
+    MAX_ATOMS_WORK,
     MAX_CHECK_BOUND,
     MAX_COMPLEMENT_VALUE,
+    MAX_FAMILY_CUTS,
     MAX_MEET_GROWTH_K,
     MAX_PROBE_BOUND,
+    MAX_RESTRICT,
     MAX_RUN_BOUND,
     main,
     parse_decider_expr,
@@ -330,6 +334,11 @@ class TestFamilyAndDemos:
         assert code == 0
         assert SmallEq.from_text(out).tail_members_below() == (1, 2, 4)
 
+    @pytest.mark.parametrize("argv", [("--set", "1"), ("--set", "1,9"), ("--set", "1,3", "--n", "3")])
+    def test_demo_atoms_validates_before_printing(self, capsys, argv):
+        code, out, err = run(capsys, "demo", "atoms", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_demo_atoms(self, capsys):
         code, out, _ = run(capsys, "demo", "atoms", "--set", "1,3,5", "--n", "8")
         assert code == 0 and "[PASS]" in out
@@ -525,6 +534,65 @@ class TestExitContract:
         code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", str(MAX_RUN_BOUND + 1))
         assert code == 2 and out == "" and simulate_bounds == []
         assert err == f"error: k {MAX_RUN_BOUND + 1} is above the limit {MAX_RUN_BOUND}\n"
+
+    @pytest.mark.parametrize("group", [("demo", "family-meet"), ("family", "meet")])
+    def test_family_cut_sum_limit(self, capsys, monkeypatch, group):
+        # The meet is stubbed to record its index and return the closed form
+        # on the first cut alone.
+        ks = []
+        monkeypatch.setattr(
+            cs,
+            "truncated_family_meet",
+            lambda spec, k: ks.append(k) or cs.family_member(spec, 0),
+        )
+        monkeypatch.setattr(cs, "closed_form_meet", lambda spec, k: cs.family_member(spec, 0))
+        limit = MAX_FAMILY_CUTS
+        argv = (*group, "--pred", "even", "--k", "2")
+        code, out, err = run(capsys, *argv, "--cuts", f"2,4,{limit - 6},{limit}")
+        assert code in (0, 1) and err == "" and ks == [2]
+        ks.clear()
+        code, out, err = run(capsys, *argv, "--cuts", f"2,4,{limit - 5},{limit + 1}")
+        assert code == 2 and out == "" and ks == []
+        assert err == f"error: sum of the cuts up to k {limit + 1} is above the limit {limit}\n"
+
+    def test_family_restrict_limit(self, capsys, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            SmallEq, "restrict", lambda self, n: sizes.append(n) or Partition.bottom(1)
+        )
+        real = cs.truncated_family_meet
+        monkeypatch.setattr(cs, "truncated_family_meet", lambda *a: sizes.append(a[1]) or real(*a))
+        argv = ("family", "meet", "--pred", "even", "--cuts", "2,4,8", "--k", "1", "--restrict")
+        code, out, err = run(capsys, *argv, str(MAX_RESTRICT))
+        assert (code, out, err) == (0, "class: 0\n", "") and sizes == [1, MAX_RESTRICT]
+        sizes.clear()
+        code, out, err = run(capsys, *argv, str(MAX_RESTRICT + 1))
+        assert code == 2 and out == "" and sizes == []
+        assert err == (
+            f"error: restrict size {MAX_RESTRICT + 1} is above the limit {MAX_RESTRICT}\n"
+        )
+
+    def test_atoms_work_limit(self, capsys, monkeypatch):
+        # With the default three members, --n may reach a third of the limit.
+        ns = []
+        monkeypatch.setattr(
+            cs, "atoms_to_singular", lambda members, n: ns.append(n) or Partition.bottom(1)
+        )
+        n = MAX_ATOMS_WORK // 3
+        code, out, err = run(capsys, "demo", "atoms", "--n", str(n))
+        assert code == 1 and err == "" and "[FAIL]" in out and ns == [n]
+        ns.clear()
+        code, out, err = run(capsys, "demo", "atoms", "--n", str(n + 1))
+        assert code == 2 and out == "" and ns == []
+        assert err == (
+            f"error: n times the set's members {3 * n + 3} is above the limit {MAX_ATOMS_WORK}\n"
+        )
+        many = ",".join(map(str, range(301)))
+        code, out, err = run(capsys, "demo", "atoms", "--n", "1000", "--set", many)
+        assert code == 2 and out == "" and ns == []
+        assert err == (
+            f"error: n times the set's members 301000 is above the limit {MAX_ATOMS_WORK}\n"
+        )
 
     def test_meet_growth_k_limit(self, capsys, monkeypatch):
         ks = []

@@ -663,6 +663,11 @@ def _long_halt():
     return load_machine(str(LONG_HALT))
 
 
+def _fresh(m):
+    """An equal machine with empty per-machine tables."""
+    return tm_from_text(tm_to_text(m), name=m.name)
+
+
 def _coding_runs():
     """Oracle runs: the zoo on the empty input up to bound 1000 and on seeded
     random inputs, the long-halting machine, and seeded random machines."""
@@ -748,7 +753,7 @@ class TestSteppingKernel:
             return real(m, c, tape, max_steps)
 
         monkeypatch.setattr(tm, "_run", counting)
-        m = zoo()["increment"]
+        m = _fresh(zoo()["increment"])  # an empty successor table
         trajectory(m, "11", 7)
         simulate(m, "11", 8)
         halt_step(m, "11", 9)
@@ -761,6 +766,10 @@ class TestSteppingKernel:
         # positive witness steps each running configuration it decodes.
         assert isinstance(result, HaltsInSteps)
         assert calls == [11] + [1] * result.steps
+        calls.clear()
+        # The machine's successor table already holds every chain point.
+        assert halting_probe(m, "11", 12).witness == result.witness
+        assert calls == [13]
 
 
 class TestClockIndexKeys:
@@ -857,13 +866,87 @@ class TestProbeWork:
 
     @pytest.mark.parametrize("name, input_str", [("increment", "11"), ("long_halt", "")])
     def test_positive_probe_decodes_each_chain_point_once(self, monkeypatch, name, input_str):
-        m = _long_halt() if name == "long_halt" else zoo()[name]
+        m = _long_halt() if name == "long_halt" else _fresh(zoo()[name])
         result, codes = self.count_decodes(monkeypatch, m, input_str, 1000)
         assert isinstance(result, HaltsInSteps)
         chain = result.witness.chain
         assert chain[-1] == SINK
         assert len(codes) == len(chain) - 1
         assert sorted(codes) == sorted(unpack_point(x)[1] for x in chain[:-1])
+
+    @pytest.mark.parametrize("name, input_str", [("increment", "11"), ("long_halt", "")])
+    def test_second_probe_at_another_bound_decodes_nothing(self, monkeypatch, name, input_str):
+        m = _long_halt() if name == "long_halt" else _fresh(zoo()[name])
+        first = halting_probe(m, input_str, 1000)
+        assert isinstance(first, HaltsInSteps)
+        bound = first.steps + 7
+        second, codes = self.count_decodes(monkeypatch, m, input_str, bound)
+        assert codes == []
+        monkeypatch.undo()
+        assert second == halting_probe(_fresh(m), input_str, bound)
+        assert second.witness == first.witness
+
+
+def _probe_cases(seed):
+    """The zoo on four inputs each at bounds 0..4000, and seeded random
+    machines around their halting step, in a seeded shuffled order."""
+    rng = random.Random(seed)
+    cases = []
+    for m in zoo().values():
+        symbols = [a for a in m.alphabet if a != tm.ENDMARKER]
+        for n in (0, 1, 3, 8):
+            inp = "".join(rng.choice(symbols) for _ in range(n))
+            cases += [(m, inp, b) for b in (0, 1, 2, 7, 50, rng.randrange(60, 400))]
+        cases.append((m, "", 4000))
+    for m in _random_machines(61, 40):
+        symbols = [a for a in m.alphabet if a != tm.ENDMARKER]
+        inp = "".join(rng.choice(symbols) for _ in range(rng.randrange(4)))
+        h = halt_step(m, inp, 60)
+        bounds = {0} | ({h - 1, h, h + 1} if h is not None else {rng.randrange(1, 60)})
+        cases += [(m, inp, b) for b in sorted(bounds - {-1})]
+    rng.shuffle(cases)
+    return cases
+
+
+class TestSuccessorTable:
+    """Probes read successors from one bounded table per machine; a probe's
+    answer does not depend on what the table holds."""
+
+    def test_cold_and_warm_tables_agree(self):
+        cases = _probe_cases(62)
+        warm = {id(m): _fresh(m) for m, _, _ in cases}
+        for m, input_str, bound in cases:
+            cold = halting_probe(_fresh(m), input_str, bound)
+            assert halting_probe(warm[id(m)], input_str, bound) == cold, (m.name, input_str, bound)
+        assert any(m._successors for m in warm.values())
+
+    def test_small_limit_bounds_the_table(self, monkeypatch):
+        cases = _probe_cases(63)
+        expected = [halting_probe(_fresh(m), inp, b) for m, inp, b in cases]
+        monkeypatch.setattr(tm, "_SUCCESSOR_LIMIT", 5)
+        sizes = []
+        real_encode = tm.encode_config
+
+        def watching(machine, c):
+            sizes.append(len(machine._successors))
+            return real_encode(machine, c)
+
+        monkeypatch.setattr(tm, "encode_config", watching)
+        machines = {id(m): _fresh(m) for m, _, _ in cases}
+        for (m, inp, b), want in zip(cases, expected):
+            assert halting_probe(machines[id(m)], inp, b) == want, (m.name, inp, b)
+            assert len(machines[id(m)]._successors) <= 5
+        assert max(sizes) == 5  # filled to the limit, then cleared
+
+    def test_table_holds_decoded_successors_only(self):
+        m = _fresh(zoo()["increment"])
+        configs = trajectory(m, "11", 10)
+        halting_probe(m, "11", 10)
+        codes = [encode_config(m, c) for c in configs]
+        assert m._successors == dict(zip(codes, codes[1:] + [0]))
+        info = _PointInfo(m)
+        assert info[pack_point(3, 7)] is None  # 7 decodes to nothing
+        assert m._successors[7] is None
 
 
 class TestLongHaltingMachine:
