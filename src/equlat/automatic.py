@@ -11,14 +11,17 @@ at most as many classes as states.
 its language is well-formatted and that the decided relation is reflexive,
 symmetric and transitive.  All three axioms are read from one class table
 built on the automaton itself (no sampling): the relation is the union of
-K_r x L_r over the classes r, one BFS per class over pairs of states
-records which classes' members each class accepts, and one more per
-overlapping pair of classes checks that their languages nest.  The work is
-polynomial in the state count, and validation is a proof for the whole
-infinite relation.
+K_r x L_r over the classes r.  One numeral BFS through the start and every
+class entry at once records which classes' members each class accepts; it
+finds no more state tuples than there are numeral states unless the DFA is
+no equivalence's, and then one pair BFS per class records the same.  One
+more BFS per overlapping pair of classes checks that their languages nest.
+The work is polynomial in the state count, and validation is a proof for
+the whole infinite relation.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -60,10 +63,14 @@ def _format_product(d: Dfa) -> tuple[bool, Dfa]:
     return (True, False) not in accepted, Dfa._mk(delta, 0, clean)
 
 
-def _numerals(*automata: tuple[Sequence[Sequence[int]], int]) -> dict[tuple[int, ...], int]:
+def _numerals(
+    *automata: tuple[Sequence[Sequence[int]], int], limit: float = math.inf
+) -> dict[tuple[int, ...], int] | None:
     """Read one canonical numeral through every ``(delta, start)`` automaton
     (over the pair alphabet) at once and map each tuple of states so reached
-    to the least value reaching it.
+    to the least value reaching it; None once more than ``limit`` tuples
+    are found, so a caller that knows how many there should be stops a
+    search that could grow as the product of the automata.
 
     A shortlex BFS: "0" cannot be extended, "1" can by any digits, and values
     are found in increasing order, so the first one kept is the least and
@@ -74,8 +81,13 @@ def _numerals(*automata: tuple[Sequence[Sequence[int]], int]) -> dict[tuple[int,
     found = {one: 1}
     order = [one]
     for t in order:
+        if len(order) > limit:
+            return None
         v = 2 * found[t]
-        t0, t1, _ = zip(*map(operator.getitem, deltas, t))
+        # A list, not the bare map: unpacking an iterator of unknown length
+        # builds the argument tuple by resizing, and CPython's free list for
+        # each final width (c + 1 here) then keeps up to 2,000 of them.
+        t0, t1, _ = zip(*list(map(operator.getitem, deltas, t)))
         if t0 not in found:
             found[t0] = v
             order.append(t0)
@@ -85,7 +97,7 @@ def _numerals(*automata: tuple[Sequence[Sequence[int]], int]) -> dict[tuple[int,
     found.pop(zero, None)
     least = {zero: 0}
     least.update(found)
-    return least
+    return least if len(least) <= limit else None
 
 
 class _ClassTable:
@@ -93,11 +105,22 @@ class _ClassTable:
 
     A numeral u reaching state s has class r = delta(s, B): minimized, the
     DFA has one state per class language.  ``state_class`` numbers the class
-    of each numeral-reachable state by least member, ``reps`` lists those.
-    Let K_r be the numerals of class r and L_r the numerals accepted from r;
-    the relation is exactly the union of K_r x L_r.  The axioms read
-    ``answers[r2, r]``, the set of truth values of "v in L_r" over all v in
-    K_r2, built on first use by one numeral BFS from (start, r) per class.
+    of each numeral-reachable state by least member, ``reps`` lists those
+    and ``entries`` their states r.  Let K_r be the numerals of class r and
+    L_r the numerals accepted from r; the relation is exactly the union of
+    K_r x L_r.  The axioms read ``answers[i][j]``, built on first use: bit 1
+    is set when some v in K_i lies outside L_j, bit 2 when some v in K_i
+    lies in L_j.
+
+    One numeral BFS through the start and every class entry at once fills
+    the table.  For an equivalence the state a numeral v reaches from the
+    start fixes the state it reaches from every entry: both languages are
+    set by which extensions vx are canonical and which classes they lie
+    in, and a minimal DFA has one state per language.  So that BFS finds
+    no more tuples than there are numeral states.  Finding more proves the
+    DFA is no equivalence's; the joint search could then grow as the
+    product of c + 1 copies, so one pair BFS from (start, r) per class
+    fills the table instead.
     """
 
     def __init__(self, d: Dfa):
@@ -115,39 +138,48 @@ class _ClassTable:
         self.reps = tuple(reps)
 
     @cached_property
-    def answers(self) -> dict[tuple[int, int], set[bool]]:
-        d = self.dfa
-        entry_of = [row[2] for row in d.delta]
-        answers: dict[tuple[int, int], set[bool]] = {}
-        for r in self.entries:
-            ps, qs = zip(*_numerals((d.delta, d.start), (d.delta, r)))
-            seen = zip(map(entry_of.__getitem__, ps), map(d.accepting.__contains__, qs))
-            for r2, answer in set(seen):
-                answers.setdefault((r2, r), set()).add(answer)
+    def answers(self) -> list[list[int]]:
+        d, state_class, accepting = self.dfa, self.state_class, self.dfa.accepting
+        automata = [(d.delta, s) for s in (d.start, *self.entries)]
+        answers = [[0] * len(self.entries) for _ in self.entries]
+        joint = _numerals(*automata, limit=len(state_class))
+        if joint is not None:
+            for p, *qs in joint:
+                row = answers[state_class[p]]
+                for j, q in enumerate(qs):
+                    row[j] |= 2 if q in accepting else 1
+        else:
+            for j, entry in enumerate(automata[1:]):
+                for p, q in _numerals(automata[0], entry):
+                    answers[state_class[p]][j] |= 2 if q in accepting else 1
         return answers
 
     def reflexive(self) -> bool:
         """Every u in K_r lies in L_r."""
-        return all(self.answers[r, r] == {True} for r in self.entries)
+        return all(row[i] == 2 for i, row in enumerate(self.answers))
 
     def symmetric(self) -> bool:
-        """For u in K_r and v in K_r2, "v in L_r" (u ~ v) must equal
-        "u in L_r2" (v ~ u): both answers are one value, the same value."""
+        """For u in K_i and v in K_j, "v in L_i" (u ~ v) must equal "u in
+        L_j" (v ~ u): both answers are one value, the same value."""
+        answers = self.answers
         return all(
-            len(seen) == 1 and seen == self.answers[r, r2]
-            for (r2, r), seen in self.answers.items()
+            cell != 3 and cell == answers[j][i]
+            for i, row in enumerate(answers)
+            for j, cell in enumerate(row)
         )
 
     def transitive(self) -> bool:
-        """If u ~ v for some u in K_r and v in K_r2, every w with v ~ w
-        must satisfy u ~ w: L_r2 is contained in L_r.  An equivalence has
-        no such pair with r2 != r.  Both languages hold canonical numerals
-        only, so one numeral BFS from (r2, r) decides the containment."""
-        delta, accepting = self.dfa.delta, self.dfa.accepting
+        """If u ~ v for some u in K_j and v in K_i, every w with v ~ w
+        must satisfy u ~ w: L_i is contained in L_j.  An equivalence has
+        no such pair with i != j.  Both languages hold canonical numerals
+        only, so one numeral BFS from their entries decides the containment."""
+        delta, accepting, entries = self.dfa.delta, self.dfa.accepting, self.entries
         return all(
-            all(q in accepting for p, q in _numerals((delta, r2), (delta, r)) if p in accepting)
-            for (r2, r), seen in self.answers.items()
-            if r2 != r and True in seen
+            all(q in accepting for p, q in _numerals((delta, entries[i]), (delta, entries[j]))
+                if p in accepting)
+            for i, row in enumerate(self.answers)
+            for j, cell in enumerate(row)
+            if i != j and cell & 2
         )
 
 

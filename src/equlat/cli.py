@@ -40,7 +40,13 @@ def _load_partition(path: str) -> Partition:
 
 
 def _load_dfa(path: str) -> Dfa:
-    return dfa_from_text(_read(path))
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_DFA_BYTES + 1)  # never more than the limit allows
+    if len(data) > MAX_DFA_BYTES:
+        raise ValueError(f"DFA file {path} is above the limit {MAX_DFA_BYTES} bytes")
+    d = dfa_from_text(data.decode("utf-8"))
+    _check_limit("DFA state count", d.state_count, MAX_DFA_STATES)
+    return d
 
 
 def _load_automatic(path: str) -> am.AutomaticEq:
@@ -116,8 +122,8 @@ def cmd_automatic(args) -> int:
         if len(args.inputs) != 2:
             print(f"usage: equlat automatic {op} LEFT RIGHT", file=sys.stderr)
             return 2
-        a = _load_automatic(args.inputs[0])
-        b = _load_automatic(args.inputs[1])
+        # Both files pass their limits before either is admitted.
+        a, b = map(am.AutomaticEq.from_dfa, [_load_dfa(path) for path in args.inputs])
         result = a.meet(b) if op == "meet" else a.join(b)
         _emit(dfa_to_text(result.dfa), args.out)
         return 0
@@ -224,6 +230,13 @@ MAX_FAMILY_CUTS = 100_000
 # `family meet --restrict N` materializes N elements (0.17 s, 29 MB at N =
 # 100,000).
 MAX_RESTRICT = 100_000
+# A DFA file is read whole and parsed before its state count is known.
+MAX_DFA_BYTES = 1 << 20
+# Checking an automaton that is no equivalence may take one pair BFS per
+# class, which grows as the cube of the state count: 2.4-2.9 s at 247
+# states, 28 s at 497.  It also bounds `automatic meet` and `join`, whose
+# product of two automata at the limit took 0.8-1.2 s.
+MAX_DFA_STATES = 256
 # The atoms demo joins one n-element partition per member of its set
 # (0.56 s, 47 MB at n = 100,000 with three members; the joins alone took
 # 18 s at n = 10,000 with 5,000 members).
@@ -333,7 +346,7 @@ def cmd_family(args) -> int:
     if spec is None:
         return 2
     result = cs.truncated_family_meet(spec, args.k)
-    if args.restrict:
+    if args.restrict is not None:
         _emit(result.restrict(args.restrict).to_text(), args.out)
     else:
         _emit(result.to_text(), args.out)

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 
@@ -728,3 +729,104 @@ class TestClassTableMatchesOldLoops:
             assert (result.delta, result.start, result.accepting) == (
                 want.delta, want.start, want.accepting
             )
+
+
+# -- the joint numeral BFS and its per-class fallback ---------------------------
+
+def _clean(d):
+    from equlat.automatic import _format_product
+
+    return minimize(_format_product(d)[1])
+
+
+def _answers(clean, joint):
+    """The class table's answers, and whether the joint BFS filled them.
+    With ``joint=False`` every bounded search reports an overflow, so the
+    per-class pair BFSs fill the table."""
+    import equlat.automatic as am
+
+    real, took = am._numerals, []
+
+    def numerals(*automata, limit=math.inf):
+        out = real(*automata, limit=limit) if joint or limit == math.inf else None
+        if limit < math.inf:
+            took.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(am, "_numerals", numerals)
+        answers = am._ClassTable(clean).answers
+    assert len(took) == 1
+    return answers, took[0]
+
+
+def _mod3_target_dfa():
+    """u ~ v iff v = 0 (mod 3), by hand: whatever u is, B enters one class
+    whose part counts v mod 3.  Not reflexive (1 is not related to 1)."""
+    # 0 start, 1 u = 0, 2 u = 1..., 3 the class entry, 4 v = 0,
+    # 5/6/7 v = 1... with v mod 3 = 0/1/2, 8 dead
+    delta = [
+        (1, 2, 8), (8, 8, 3), (2, 2, 3), (4, 6, 8), (8, 8, 8),
+        (5, 6, 8), (7, 5, 8), (6, 7, 8), (8, 8, 8),
+    ]
+    return Dfa(delta, 0, {4, 5})
+
+
+class TestJointAnswers:
+    def test_joint_and_per_class_tables_agree(self):
+        for d in _table_inputs() + _perturbed_dfas(7, 500):
+            clean = _clean(d)
+            joint, _ = _answers(clean, joint=True)
+            per_class, took_joint = _answers(clean, joint=False)
+            assert not took_joint and joint == per_class
+
+    def test_only_non_equivalences_fall_back(self):
+        # Every admitted input takes the joint path, which is where the
+        # saving lies.  The count of rejected inputs that fall back is
+        # pinned for these seeded inputs (of 1,137 rejected).
+        fallbacks = admitted = 0
+        for d in _table_inputs() + _perturbed_dfas(7, 1500):
+            _, took_joint = _answers(_clean(d), joint=True)
+            try:
+                AutomaticEq.from_dfa(d)
+            except ValidationError:
+                fallbacks += not took_joint
+            else:
+                admitted += 1
+                assert took_joint
+        assert (admitted, fallbacks) == (537, 233)
+
+    def test_mod3_target_overflows_and_fails_reflexivity(self):
+        from equlat.automatic import _ClassTable, _numerals, admission_checks
+
+        d = _mod3_target_dfa()
+        assert minimize(d).state_count == 9 and equivalent(d, _clean(d))
+        table = _ClassTable(_clean(d))
+        assert len(table.state_class) == 2 and len(table.entries) == 1
+        automata = [(table.dfa.delta, s) for s in (table.dfa.start, *table.entries)]
+        assert len(_numerals(*automata)) == 4 and _numerals(*automata, limit=2) is None
+        assert _answers(table.dfa, joint=True) == ([[3]], False)
+        assert admission_checks(d) == [
+            ("format", True), ("reflexivity", False), ("symmetry", False), ("transitivity", True)
+        ]
+        assert [(u, v) for u in range(7) for v in range(7) if d.accepts(pair_word(u, v))] == [
+            (u, v) for u in range(7) for v in (0, 3, 6)
+        ]
+
+    def test_numerals_limit(self):
+        from equlat.automatic import _numerals
+
+        rng = random.Random(5)
+        cases = [[((1, 2, 0), (1, 1, 0), (1, 2, 0))]]  # "0" and "10" share a state
+        for _ in range(40):
+            n = rng.randrange(1, 7)
+            cases.append([
+                tuple(tuple(rng.randrange(n) for _ in range(3)) for _ in range(n))
+                for _ in range(rng.randrange(1, 4))
+            ])
+        for deltas in cases:
+            automata = [(delta, 0) for delta in deltas]
+            full = _numerals(*automata)
+            for limit in range(len(full) + 2):
+                bounded = _numerals(*automata, limit=limit)
+                assert bounded == (None if len(full) > limit else full)

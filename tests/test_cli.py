@@ -15,6 +15,8 @@ from equlat.cli import (
     MAX_ATOMS_WORK,
     MAX_CHECK_BOUND,
     MAX_COMPLEMENT_VALUE,
+    MAX_DFA_BYTES,
+    MAX_DFA_STATES,
     MAX_FAMILY_CUTS,
     MAX_MEET_GROWTH_K,
     MAX_PROBE_BOUND,
@@ -182,6 +184,47 @@ class TestAutomaticCommands:
         assert code == 0
         emitted = dfa_from_text(out_path.read_text())
         assert equivalent(emitted, dfa_from_text(out_path.read_text()))
+
+    def test_dfa_file_size_limit(self, capsys, monkeypatch, tmp_path):
+        checked = []
+        monkeypatch.setattr(am, "admission_checks", lambda d: checked.append(d.state_count) or [])
+        text = dfa_to_text(corpus()["mod3"].dfa)
+        target = tmp_path / "padded.dfa"
+        target.write_text(text + "\n" * (MAX_DFA_BYTES - len(text)))
+        code, out, err = run(capsys, "automatic", "check", str(target))
+        assert (code, out, err) == (0, "", "") and checked == [corpus()["mod3"].dfa.state_count]
+        checked.clear()
+        target.write_text(text + "\n" * (MAX_DFA_BYTES + 1 - len(text)))
+        code, out, err = run(capsys, "automatic", "check", str(target))
+        assert code == 2 and out == "" and checked == []
+        assert err == f"error: DFA file {target} is above the limit {MAX_DFA_BYTES} bytes\n"
+
+    @pytest.mark.parametrize("op", ["check", "reps", "minimize", "meet", "join"])
+    def test_dfa_state_limit(self, capsys, monkeypatch, tmp_path, op):
+        # Admission and minimization are stubbed to record the state counts
+        # they are given; meet and join check both files before either.
+        work = []
+        mod3 = corpus()["mod3"]
+        monkeypatch.setattr(am, "admission_checks", lambda d: work.append(d.state_count) or [])
+        if op == "minimize":  # meet and join minimize their result
+            monkeypatch.setattr(am, "minimize", lambda d: work.append(d.state_count) or d)
+        monkeypatch.setattr(
+            am.AutomaticEq, "from_dfa", classmethod(lambda cls, d: work.append(d.state_count) or mod3)
+        )
+        files = {}
+        for n in (MAX_DFA_STATES, MAX_DFA_STATES + 1):
+            files[n] = tmp_path / f"cycle{n}.dfa"
+            files[n].write_text(dfa_to_text(Dfa([((s + 1) % n,) * 3 for s in range(n)], 0, ())))
+        operands = 2 if op in ("meet", "join") else 1
+        code, _, err = run(capsys, "automatic", op, *[str(files[MAX_DFA_STATES])] * operands)
+        assert code == 0 and err == "" and work == [MAX_DFA_STATES] * operands
+        work.clear()
+        over = [str(files[MAX_DFA_STATES])] * (operands - 1) + [str(files[MAX_DFA_STATES + 1])]
+        code, out, err = run(capsys, "automatic", op, *over)
+        assert code == 2 and out == "" and work == []
+        assert err == (
+            f"error: DFA state count {MAX_DFA_STATES + 1} is above the limit {MAX_DFA_STATES}\n"
+        )
 
     def test_minimize_round_trip(self, capsys, tmp_path):
         a = tmp_path / "a.dfa"
@@ -571,6 +614,12 @@ class TestExitContract:
         assert err == (
             f"error: restrict size {MAX_RESTRICT + 1} is above the limit {MAX_RESTRICT}\n"
         )
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_family_restrict_below_one_refused(self, capsys, n):
+        argv = ("family", "meet", "--pred", "even", "--cuts", "2,4,8", "--k", "1", "--restrict", n)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: invalid universe size {n}\n")
 
     def test_atoms_work_limit(self, capsys, monkeypatch):
         # With the default three members, --n may reach a third of the limit.
