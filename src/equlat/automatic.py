@@ -18,6 +18,12 @@ no equivalence's, and then one pair BFS per class records the same.  One
 more BFS per overlapping pair of classes checks that their languages nest.
 The work is polynomial in the state count, and validation is a proof for
 the whole infinite relation.
+
+An ``AutomaticEq`` is worked on as its *classifier* ``(delta, start,
+labels)``, a Moore machine over the digits: the state after a canonical
+numeral is labelled with its class, numbered by least member.  ``meet``
+refines a product of classifiers, ``join`` and ``coarsen`` relabel one, and
+the pair DFA is built from the classifier only when asked for.
 """
 from __future__ import annotations
 
@@ -34,9 +40,9 @@ from .dfa import (
     binary,
     minimize,
     pair_format_dfa,
-    pair_word,
     product,
     product_table,
+    refine,
 )
 from .partition import Partition
 
@@ -67,17 +73,17 @@ def _numerals(
     *automata: tuple[Sequence[Sequence[int]], int], limit: float = math.inf
 ) -> dict[tuple[int, ...], int] | None:
     """Read one canonical numeral through every ``(delta, start)`` automaton
-    (over the pair alphabet) at once and map each tuple of states so reached
-    to the least value reaching it; None once more than ``limit`` tuples
-    are found, so a caller that knows how many there should be stops a
-    search that could grow as the product of the automata.
+    (over the digits, or the pair alphabet) at once and map each tuple of
+    states so reached to the least value reaching it; None once more than
+    ``limit`` tuples are found, so a caller that knows how many there should
+    be stops a search that could grow as the product of the automata.
 
     A shortlex BFS: "0" cannot be extended, "1" can by any digits, and values
     are found in increasing order, so the first one kept is the least and
     the keys come out in increasing order of their values.
     """
     deltas = [delta for delta, _ in automata]
-    zero, one, _ = zip(*[delta[start] for delta, start in automata])
+    zero, one, *_ = zip(*[delta[start] for delta, start in automata])
     found = {one: 1}
     order = [one]
     for t in order:
@@ -87,7 +93,7 @@ def _numerals(
         # A list, not the bare map: unpacking an iterator of unknown length
         # builds the argument tuple by resizing, and CPython's free list for
         # each final width (c + 1 here) then keeps up to 2,000 of them.
-        t0, t1, _ = zip(*list(map(operator.getitem, deltas, t)))
+        t0, t1, *_ = zip(*list(map(operator.getitem, deltas, t)))
         if t0 not in found:
             found[t0] = v
             order.append(t0)
@@ -105,12 +111,11 @@ class _ClassTable:
 
     A numeral u reaching state s has class r = delta(s, B): minimized, the
     DFA has one state per class language.  ``state_class`` numbers the class
-    of each numeral-reachable state by least member, ``reps`` lists those
-    and ``entries`` their states r.  Let K_r be the numerals of class r and
-    L_r the numerals accepted from r; the relation is exactly the union of
-    K_r x L_r.  The axioms read ``answers[i][j]``, built on first use: bit 1
-    is set when some v in K_i lies outside L_j, bit 2 when some v in K_i
-    lies in L_j.
+    of each numeral-reachable state by least member, and ``entries`` lists
+    the classes' states r.  Let K_r be the numerals of class r and L_r the
+    numerals accepted from r; the relation is exactly the union of K_r x L_r.
+    The axioms read ``answers[i][j]``, built on first use: bit 1 is set when
+    some v in K_i lies outside L_j, bit 2 when some v in K_i lies in L_j.
 
     One numeral BFS through the start and every class entry at once fills
     the table.  For an equivalence the state a numeral v reaches from the
@@ -126,16 +131,10 @@ class _ClassTable:
     def __init__(self, d: Dfa):
         self.dfa = d
         entered: dict[int, int] = {}  # class entry state -> class number
-        reps: list[int] = []
         state_class = self.state_class = {}
-        for (s,), least in _numerals((d.delta, d.start)).items():
-            r = d.delta[s][2]
-            if r not in entered:
-                entered[r] = len(reps)
-                reps.append(least)
-            state_class[s] = entered[r]
+        for (s,) in _numerals((d.delta, d.start)):
+            state_class[s] = entered.setdefault(d.delta[s][2], len(entered))
         self.entries = list(entered)
-        self.reps = tuple(reps)
 
     @cached_property
     def answers(self) -> list[list[int]]:
@@ -241,18 +240,14 @@ def admission_checks(d: Dfa) -> list[tuple[str, bool]]:
 
 
 class AutomaticEq:
-    """A certified automatic equivalence relation.
+    """A certified automatic equivalence relation, worked on as its classifier."""
 
-    Wraps a minimized, format-clean DFA together with its class table.
-    """
+    __slots__ = ("_dfa", "_table", "_classifier", "_operands")
 
-    __slots__ = ("dfa", "_table")
-
-    def __init__(self, dfa: Dfa, _trusted: bool = False):
+    def __init__(self, dfa: Dfa | None, _trusted: bool = False, _table=None, _classifier=None):
         if not _trusted:
             raise TypeError("use AutomaticEq.from_dfa()")
-        self.dfa = dfa
-        self._table = None
+        self._dfa, self._table, self._classifier, self._operands = dfa, _table, _classifier, ()
 
     @classmethod
     def from_dfa(cls, d: Dfa) -> "AutomaticEq":
@@ -263,71 +258,93 @@ class AutomaticEq:
             try:
                 axiom, holds, message = next(rows)
             except StopIteration as done:
-                rel = cls(done.value.dfa, _trusted=True)
-                rel._table = done.value
-                return rel
+                return cls(done.value.dfa, True, done.value)
             if not holds:
                 raise ValidationError(axiom, message)
 
     @classmethod
-    def _trust(cls, d: Dfa) -> "AutomaticEq":
-        # Internal: for outputs that are equivalences by construction.
-        return cls(minimize(d), _trusted=True)
+    def _from_classifier(cls, successors: Callable, start, label: Callable) -> "AutomaticEq":
+        """For outputs that are equivalences by construction.  The start's
+        label must mark exactly the states no canonical numeral reaches."""
+        delta, raw = refine(successors, start, label)
+        # Blocks come in BFS order, so classes by least member, after -1 for raw[0].
+        number = dict(zip(dict.fromkeys(raw), range(-1, len(raw))))
+        return cls(None, True, None, (delta, 0, list(map(number.__getitem__, raw))))
+
+    @property
+    def dfa(self) -> Dfa:
+        """The minimized, format-clean pair DFA, built on first use if needed; a
+        meet's from its operands', as its classifier's kernel can be far larger."""
+        if self._operands:
+            d, *rest = [rel.dfa for rel in self._operands]
+            for other in rest:
+                d = minimize(product(d, other, operator.and_))
+            self._dfa, self._operands = d, ()
+        elif self._dfa is None:
+            delta, start, labels = self._classes()
+            self._dfa = minimize(kernel_pair_dfa(delta, start, dict(enumerate(labels))))
+        return self._dfa
+
+    def _classes(self) -> tuple:
+        """The classifier, read off the class table on first use."""
+        if self._classifier is None:
+            d, state_class = self._dfa, (self._table or _ClassTable(self._dfa)).state_class
+            labels = [state_class.get(s, -1) for s in range(d.state_count)]
+            self._classifier = (tuple(row[:2] for row in d.delta), d.start, labels)
+        return self._classifier
 
     def decide(self, m: int, n: int) -> bool:
-        """Run the automaton on the pair word of (m, n)."""
-        return self.dfa.accepts(pair_word(m, n))
-
-    def _classes(self) -> _ClassTable:
-        """The class table, built on first use for results made by ``_trust``."""
-        if self._table is None:
-            self._table = _ClassTable(self.dfa)
-        return self._table
+        """m and n lie in one class."""
+        return self.key(m) == self.key(n)
 
     def representatives(self) -> list[int]:
         """The least member of every class, ascending."""
-        return list(self._classes().reps)
+        delta, start, labels = self._classes()
+        least = {labels[s]: v for (s,), v in reversed(_numerals((delta, start)).items())}
+        return sorted(least.values())
 
     @property
     def class_count(self) -> int:
-        return len(self._classes().reps)
+        return max(self._classes()[2]) + 1
 
     def meet(self, other: "AutomaticEq") -> "AutomaticEq":
-        """Conjunction of the two relations (product automaton)."""
-        return AutomaticEq._trust(product(self.dfa, other.dfa, operator.and_))
+        """Conjunction of the two relations: the product of the classifiers,
+        labelled by pairs of classes."""
+        (da, sa, la), (db, sb, lb) = self._classes(), other._classes()
+        rel = AutomaticEq._from_classifier(
+            lambda pq: zip(da[pq[0]], db[pq[1]]), (sa, sb), lambda pq: (la[pq[0]], lb[pq[1]])
+        )
+        rel._operands = (*(self._operands or (self,)), *(other._operands or (other,)))
+        return rel
 
     def join_certificate(self, other: "AutomaticEq") -> "JoinCertificate":
         """Join, together with the finite evidence it is built from.
 
         Classes of the two relations are nodes of a bipartite graph with an
         edge whenever they share a value; the join's classes are the
-        connected components.  One numeral BFS through both automata finds
-        every edge with its least shared value as a witness.
+        connected components.  One numeral BFS through both classifiers
+        finds every edge with its least shared value as a witness.
         """
-        left, right = self._classes(), other._classes()
-        left_class, right_class = left.state_class, right.state_class
+        (da, sa, la), (db, sb, lb) = self._classes(), other._classes()
         least: dict[tuple[int, int], int] = {}
-        for (p, q), v in _numerals(
-            (self.dfa.delta, self.dfa.start), (other.dfa.delta, other.dfa.start)
-        ).items():
-            least.setdefault((left_class[p], right_class[q]), v)
+        for (p, q), v in _numerals((da, sa), (db, sb)).items():
+            least.setdefault((la[p], lb[q]), v)
         edges = sorted(least)
         # Every left class has an edge: its least value lies in a right class.
         components = Partition.from_key(len(edges), lambda e: edges[e][0]).join(
             Partition.from_key(len(edges), lambda e: edges[e][1])
         )
-        label: dict[int, int] = {}  # left class -> its component, in class order
-        for e, (i, _) in enumerate(edges):
-            label.setdefault(i, components.labels[e])
+        # left class -> its component, in class order; its edges share one
+        label = {i: c for (i, _), c in zip(edges, components.labels)}
         number: dict[int, int] = {}
         left_components = tuple(number.setdefault(c, len(number)) for c in label.values())
-        blocks: list[list[int]] = [[] for _ in number]
-        for i, c in enumerate(left_components):
-            blocks[c].append(i)
+        # Every value lies on an edge: a class's least member is its least witness.
+        reps = [{k[side]: v for k, v in reversed(least.items())} for side in (0, 1)]
+        joined = [left_components[c] if c >= 0 else -1 for c in la]
         return JoinCertificate(
-            result=self.coarsen(blocks),
-            left_representatives=left.reps,
-            right_representatives=right.reps,
+            result=AutomaticEq._from_classifier(da.__getitem__, sa, joined.__getitem__),
+            left_representatives=tuple(sorted(reps[0].values())),
+            right_representatives=tuple(sorted(reps[1].values())),
             edges=tuple(edges),
             witnesses={e: least[e] for e in edges},
             left_components=left_components,
@@ -340,29 +357,37 @@ class AutomaticEq:
     def coarsen(self, blocks: Sequence[Iterable[int]]) -> "AutomaticEq":
         """Merge whole classes: ``blocks`` partitions the class indices, and
         the result relates m, n iff their classes fall in the same block."""
-        table = self._classes()
+        delta, start, labels = self._classes()
+        count = max(labels) + 1
         block_of: dict[int, int] = {}
         for b, block in enumerate(blocks):
             block = list(block)
             if not block:
                 raise ValueError(f"block {b} is empty")
             for idx in block:
-                if idx in block_of or not 0 <= idx < len(table.reps):
+                if idx in block_of or not 0 <= idx < count:
                     raise ValueError(f"bad class grouping at index {idx}")
                 block_of[idx] = b
-        if len(block_of) != len(table.reps):
+        if len(block_of) != count:
             raise ValueError("grouping must cover every class exactly once")
-        key_of = {s: block_of[c] for s, c in table.state_class.items()}
-        delta01 = tuple((row[0], row[1]) for row in self.dfa.delta)
-        return AutomaticEq._trust(kernel_pair_dfa(delta01, self.dfa.start, key_of))
+        return AutomaticEq._from_classifier(
+            delta.__getitem__, start, lambda s: block_of.get(labels[s], -1)
+        )
 
     def key(self, x: int) -> int:
         """The class number of x: the relation is this key's kernel."""
-        return self._classes().state_class[self.dfa.run(binary(x))]
+        delta, s, labels = self._classes()
+        for digit in binary(x):
+            s = delta[s][digit == "1"]
+        return labels[s]
 
     def restrict(self, n: int) -> Partition:
         """Materialize the relation on {0..n-1} for cross-checking."""
-        return Partition.from_key(n, self.key)
+        delta, start, labels = self._classes()
+        states = list(delta[start][:n])  # past 1, x's numeral is x // 2's and a digit
+        for x in range(2, n):
+            states.append(delta[states[x >> 1]][x & 1])
+        return Partition.from_key(n, [labels[s] for s in states].__getitem__)
 
     def __repr__(self) -> str:
         return f"AutomaticEq({self.dfa!r})"
@@ -406,29 +431,26 @@ def kernel_pair_dfa(
     States the classifier cannot reach on canonical numerals may be omitted
     from ``key_of``.
     """
-    missing = object()
+    missing, left = object(), object()
 
     def key(s: int) -> Hashable:
         return key_of.get(s, missing)
 
-    dead = ("dead",)
-    index = _Index(dead)
-    index["l", start, 0]  # state 1, the start
-    rows = []
-    accepting = set()
+    index = _Index(None)  # state 0 is dead
+    index[start, 0, left]  # state 1, the start; a node is (state, tracker, want)
+    rows, accepting = [], set()
     for i, node in enumerate(index.order):  # BFS: the list grows as it is read
-        if node == dead:
+        if node is None:
             rows.append((0, 0, 0))
-        elif node[0] == "l":
-            _, s, trk = node
-            row = [0 if t == 3 else index["l", u, t] for u, t in zip(delta01[s], _TRK[trk])]
-            rows.append((*row, index["r", start, 0, key(s)] if trk in _TRK_DONE else 0))
+            continue
+        s, trk, want = node
+        row = [0 if t == 3 else index[u, t, want] for u, t in zip(delta01[s], _TRK[trk])]
+        if want is left:
+            rows.append((*row, index[start, 0, key(s)] if trk in _TRK_DONE else 0))
         else:
-            _, s, trk, want = node
-            row = [0 if t == 3 else index["r", u, t, want] for u, t in zip(delta01[s], _TRK[trk])]
             rows.append((*row, 0))
             if trk in _TRK_DONE and key(s) is not missing and want is not missing:
-                if accept(key(s), want):
+                if accept(want, key(s)):
                     accepting.add(i)
     return Dfa._mk(tuple(rows), 1, frozenset(accepting))
 
@@ -440,7 +462,11 @@ def kernel_relation(
 ) -> AutomaticEq:
     """Automatic relation "same classifier feature"; an equivalence by
     construction (kernel of a function)."""
-    return AutomaticEq._trust(kernel_pair_dfa(delta01, start, key_of))
+    # New start, "0" and dead states; wrapped, no feature equals their label ().
+    n = len(delta01)
+    delta = [*delta01, (n + 1, n + 1), (n + 1, n + 1), (n, delta01[start][1])]
+    labels = [(key_of.get(s),) for s in range(n)] + [(key_of[delta01[start][0]],), (), ()]
+    return AutomaticEq._from_classifier(delta.__getitem__, n + 2, labels.__getitem__)
 
 
 def universal_relation() -> AutomaticEq:
@@ -487,18 +513,12 @@ def singleton_family(i: int) -> AutomaticEq:
     if i < 0:
         raise ValueError("naturals only")
     word = binary(i)
-    length = len(word)
-    # states 0..length track a matched prefix; state length+1 is mismatch
-    mism = length + 1
-    delta = []
-    for p in range(length):
-        want = int(word[p])
-        delta.append(tuple(p + 1 if bit == want else mism for bit in (0, 1)))
-    delta.append((mism, mism))  # matched completely; any further digit breaks it
-    delta.append((mism, mism))
-    key = {s: False for s in range(length + 2)}
-    key[length] = True
-    return kernel_relation(tuple(delta), 0, key)
+    n = len(word)
+    # states 0..n track a matched prefix, and n + 1 is a mismatch: so is any
+    # digit after the whole word
+    delta = [tuple(p + 1 if bit == int(c) else n + 1 for bit in (0, 1)) for p, c in enumerate(word)]
+    delta += [(n + 1, n + 1)] * 2
+    return kernel_relation(delta, 0, {s: s == n for s in range(n + 2)})
 
 
 def family_meet_demo(k: int) -> list[int]:
@@ -506,9 +526,8 @@ def family_meet_demo(k: int) -> list[int]:
     after each step; the counts grow without bound as k grows."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    counts = []
     acc = singleton_family(1)
-    counts.append(acc.class_count)
+    counts = [acc.class_count]
     for i in range(2, k + 1):
         acc = acc.meet(singleton_family(i))
         counts.append(acc.class_count)

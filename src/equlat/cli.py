@@ -219,9 +219,9 @@ MAX_RUN_BOUND = 100_000
 MAX_PROBE_BOUND = 4_000
 # `complement` keeps about 100 bytes per value up to the largest value asked.
 MAX_COMPLEMENT_VALUE = 100_000
-# The automatic-meet-growth demo folds k meets of ever larger automata; its
-# time grows faster than k^2 (1.3 s at k = 256, 19.5 s at 1024).
-MAX_MEET_GROWTH_K = 256
+# The automatic-meet-growth demo folds k meets of ever larger classifiers; its
+# time grows faster than k^2 (0.13 s at k = 256, 0.5 s at 512, 1.5-2.3 s at 1024).
+MAX_MEET_GROWTH_K = 512
 # `family meet` and the family-meet demo build member i with cuts[i] labels
 # for each i <= k, so the sum of those cuts bounds both the work and the
 # largest cut, cuts[k], which sizes the result (0.3-0.6 s and 34-46 MB at
@@ -235,7 +235,7 @@ MAX_DFA_BYTES = 1 << 20
 # Checking an automaton that is no equivalence may take one pair BFS per
 # class, which grows as the cube of the state count: 2.4-2.9 s at 247
 # states, 28 s at 497.  It also bounds `automatic meet` and `join`, whose
-# product of two automata at the limit took 0.8-1.2 s.
+# output pair DFA at the limit took up to 1.0-1.1 s to build.
 MAX_DFA_STATES = 256
 # The atoms demo joins one n-element partition per member of its set
 # (0.56 s, 47 MB at n = 100,000 with three members; the joins alone took

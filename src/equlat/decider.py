@@ -14,7 +14,7 @@ bounded, witness-producing join search is offered: its negative answer means
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .partition import Partition
 
@@ -237,7 +237,7 @@ def bounded_join(
     the point against every unvisited candidate, O(U^2) in all.
     """
     allowed = range(universe) if isinstance(universe, int) else set(universe)
-    candidates = sorted(allowed)
+    candidates = allowed if isinstance(allowed, range) else sorted(allowed)  # ascending
     if candidates and candidates[0] < 0:
         raise ValueError("naturals only")
     if m not in allowed or n not in allowed:
@@ -275,7 +275,7 @@ def bounded_join(
     return NotWithinBounds(explored=len(parent))
 
 
-def _neighbours(d: DeciderEq, candidates: list[int]) -> tuple[Callable, dict | None]:
+def _neighbours(d: DeciderEq, candidates: Sequence[int]) -> tuple[Callable, dict | None]:
     """(key, key -> its candidates ascending), or (the black-box test, None).
     An expanded point drops its key bucket, whose members are all visited."""
     if d.key is None:

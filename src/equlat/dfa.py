@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, compress
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .partition import numeral
 
@@ -100,13 +100,17 @@ class _Index(dict):
         return number
 
 
+def _reach(successors: Callable[[Hashable], Iterable], start: Hashable) -> _Index:
+    index = _Index(start)
+    for s in index.order:
+        for t in successors(s):
+            index[t]  # numbers t on first sight
+    return index
+
+
 def reachable_states(d: Dfa) -> list[int]:
     """States reachable from the start, in BFS discovery order."""
-    index = _Index(d.start)
-    for s in index.order:
-        for t in d.delta[s]:
-            index[t]  # numbers t on first sight
-    return index.order
+    return _reach(d.delta.__getitem__, d.start).order
 
 
 def product_table(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]:
@@ -137,27 +141,34 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
     return is_empty(product(a, b, lambda x, y: x != y))
 
 
-def minimize(d: Dfa) -> Dfa:
-    """Minimal DFA for the same language (Moore partition refinement); each
-    block is numbered by its first reachable state in BFS order."""
-    order = reachable_states(d)
-    pos = {s: i for i, s in enumerate(order)}
-    columns = [list(map(pos.__getitem__, col)) for col in zip(*map(d.delta.__getitem__, order))]
-    final = [s in d.accepting for s in order]
-    block = list(map(int, final))
+def refine(successors: Callable[[Hashable], Iterable], start: Hashable, label: Callable) -> tuple:
+    """Moore refinement of the states reachable from ``start`` (any hashable
+    values, any number of successors): blocks start as labels, split on
+    successors' blocks until stable, and are numbered by first state in BFS
+    order.  Returns the quotient's rows and each block's label."""
+    index = _reach(successors, start)
+    columns = [list(map(index.__getitem__, col)) for col in zip(*map(successors, index.order))]
+    labels = list(map(label, index.order))
+    signatures, block = labels, None
     while True:
-        at = block.__getitem__
-        signatures = list(zip(block, *(map(at, col) for col in columns)))
         distinct = dict.fromkeys(signatures)
         number = dict(zip(distinct, range(len(distinct))))
         new_block = list(map(number.__getitem__, signatures))
         if new_block == block:
             break
         block = new_block
-    # Stable, so each signature is (own block, successors' blocks): its tail
-    # is the row of the block it numbers.
-    delta = tuple(sig[1:] for sig in number)
-    return Dfa._mk(delta, 0, frozenset(compress(block, final)))
+        at = block.__getitem__
+        signatures = list(zip(block, *(map(at, col) for col in columns)))
+    # Stable: a signature is (own block, successors' blocks), its tail the row
+    # of its block.  Blocks ascend by first appearance, and so do the labels.
+    return tuple(sig[1:] for sig in number), list(dict(zip(block, labels)).values())
+
+
+def minimize(d: Dfa) -> Dfa:
+    """Minimal DFA for the same language (Moore partition refinement); each
+    block is numbered by its first reachable state in BFS order."""
+    delta, final = refine(d.delta.__getitem__, d.start, d.accepting.__contains__)
+    return Dfa._mk(delta, 0, frozenset(compress(range(len(final)), final)))
 
 
 class Nfa:

@@ -494,7 +494,8 @@ class TestUpwardClosure:
 
 
 def _queue_kernel_pair_dfa(delta01, start, key_of, accept=operator.eq):
-    """The queue-and-intern construction ``kernel_pair_dfa`` replaced."""
+    """The queue-and-intern construction ``kernel_pair_dfa`` replaced, with
+    ``accept`` given the left numeral's key first."""
     from collections import deque
 
     from equlat.automatic import _TRK, _TRK_DONE
@@ -539,7 +540,7 @@ def _queue_kernel_pair_dfa(delta01, start, key_of, accept=operator.eq):
             ]
             row.append(0)
             if trk in _TRK_DONE and key(s) is not missing and want is not missing:
-                if accept(key(s), want):
+                if accept(want, key(s)):
                     accepting.add(i)
         rows[i] = row
     return Dfa(rows, 1, accepting)
@@ -694,22 +695,23 @@ class TestClassTableMatchesOldLoops:
             else:
                 got = (rel.dfa.delta, rel.dfa.start, rel.dfa.accepting)
                 state_class, reps = _old_classes(clean)
-                assert rel._classes().state_class == state_class
+                assert rel._table.state_class == state_class
                 assert rel.representatives() == list(reps)
             assert got == outcome
 
-    def test_trusted_results_build_their_table_once(self):
+    def test_trusted_results_build_their_dfa_once(self):
         rels = list(corpus.__wrapped__().values())
         for a in rels:
             admitted = AutomaticEq.from_dfa(a.dfa)
             assert admitted._table is not None  # the certified one, kept
+            assert admitted._classifier is None  # read off it on first use
             for b in rels[:4]:
                 meet = a.meet(b)
-                assert meet._table is None
-                table = meet._classes()
-                assert meet._classes() is table
-                assert "answers" not in vars(table)  # no axiom BFS for classes
-                assert (table.state_class, table.reps) == _old_classes(meet.dfa)
+                assert meet._dfa is None and meet._table is None
+                d = meet.dfa
+                assert meet.dfa is d
+                assert _fields(d) == _fields(_old_meet(a, b))
+                assert _view(meet) == _old_view(d)
 
     def test_join_certificates_on_admitted_relations(self):
         admitted = []
@@ -783,7 +785,8 @@ class TestJointAnswers:
     def test_only_non_equivalences_fall_back(self):
         # Every admitted input takes the joint path, which is where the
         # saving lies.  The count of rejected inputs that fall back is
-        # pinned for these seeded inputs (of 1,137 rejected).
+        # pinned for these seeded inputs (of 1,137 rejected); the pair
+        # automata of asymmetric matrices accept(key(u), key(v)) on u B v.
         fallbacks = admitted = 0
         for d in _table_inputs() + _perturbed_dfas(7, 1500):
             _, took_joint = _answers(_clean(d), joint=True)
@@ -794,7 +797,7 @@ class TestJointAnswers:
             else:
                 admitted += 1
                 assert took_joint
-        assert (admitted, fallbacks) == (537, 233)
+        assert (admitted, fallbacks) == (537, 236)
 
     def test_mod3_target_overflows_and_fails_reflexivity(self):
         from equlat.automatic import _ClassTable, _numerals, admission_checks
@@ -830,3 +833,108 @@ class TestJointAnswers:
             for limit in range(len(full) + 2):
                 bounded = _numerals(*automata, limit=limit)
                 assert bounded == (None if len(full) > limit else full)
+
+
+# -- classifiers against the pair-DFA path they replaced -------------------------
+
+def _old_meet(a, b):
+    """The pair-DFA meet: the product of the two automata, minimized."""
+    return minimize(product(a.dfa, b.dfa, operator.and_))
+
+
+def _old_coarsen(rel, blocks):
+    """The pair-DFA coarsen: the kernel pair automaton of the automaton's
+    digit columns, each numeral state keyed by its class's block."""
+    state_class, _ = _old_classes(rel.dfa)
+    block_of = {c: b for b, block in enumerate(blocks) for c in block}
+    key_of = {s: block_of[c] for s, c in state_class.items()}
+    return minimize(kernel_pair_dfa(tuple(row[:2] for row in rel.dfa.delta), rel.dfa.start, key_of))
+
+
+def _fields(d):
+    return d.delta, d.start, d.accepting
+
+
+def _old_view(d):
+    """Representatives, class count and the class numbers of 0..63, read off
+    a pair automaton by the old class loop."""
+    state_class, reps = _old_classes(d)
+    return list(reps), len(reps), [state_class[d.run(binary(x))] for x in range(64)]
+
+
+def _view(rel):
+    return rel.representatives(), rel.class_count, [rel.key(x) for x in range(64)]
+
+
+def _groupings(count):
+    """Identity, neighbouring pairs, all in one, and the last class alone."""
+    out = [[[c] for c in range(count)], [list(range(c, min(c + 2, count))) for c in range(0, count, 2)]]
+    out.append([list(range(count))])
+    if count > 1:
+        out.append([list(range(count - 1)), [count - 1]])
+    return out
+
+
+class TestClassifiersMatchPairDfaPath:
+    def test_corpus_meets_and_joins(self):
+        rels = corpus.__wrapped__()
+        for x, a in rels.items():
+            for y, b in rels.items():
+                meet, want = a.meet(b), _old_meet(a, b)
+                assert equivalent(meet.dfa, want) and _fields(meet.dfa) == _fields(want), (x, y)
+                assert meet.restrict(64) == a.restrict(64).meet(b.restrict(64))
+                assert _view(meet) == _old_view(want), (x, y)
+                cert = a.join_certificate(b)
+                expected = _pairwise_join(a, b)
+                got = _certificate_fields(cert)
+                result, want = got.pop("result"), expected.pop("result")
+                assert got == expected, (x, y)
+                assert equivalent(result, want) and _fields(result) == _fields(want), (x, y)
+                assert cert.result.restrict(64) == a.restrict(64).join(b.restrict(64))
+                assert _view(cert.result) == _old_view(want), (x, y)
+
+    def test_corpus_coarsenings(self):
+        for name, rel in corpus.__wrapped__().items():
+            assert _view(rel) == _old_view(rel.dfa), name
+            for blocks in _groupings(rel.class_count):
+                got, want = rel.coarsen(blocks), _old_coarsen(rel, blocks)
+                assert equivalent(got.dfa, want) and _fields(got.dfa) == _fields(want)
+                assert got.restrict(64) == Partition.from_key(64, _old_view(want)[2].__getitem__)
+                assert _view(got) == _old_view(want), (name, blocks)
+
+    def test_folded_singleton_meets_to_64(self):
+        acc, old = singleton_family(1), singleton_family(1).dfa
+        counts = [acc.class_count]
+        for i in range(2, 65):
+            acc = acc.meet(singleton_family(i))
+            old = minimize(product(old, singleton_family(i).dfa, operator.and_))
+            counts.append(len(_old_classes(old)[1]))
+            if i % 16 == 0:
+                assert _fields(acc.dfa) == _fields(old) and _view(acc) == _old_view(old)
+        assert counts == family_meet_demo(64) == list(range(2, 66))
+
+    def test_seeded_join_certificates(self):
+        # Constructed meets and the same relations admitted from their pair
+        # automata: the two kinds of classifier, mixed in every pair.
+        rng = random.Random(21)
+        rels = _fresh_relations(rng)
+        names = sorted(rels)
+        for _ in range(12):
+            x, y = rng.choice(names), rng.choice(names)
+            rels[f"{x}^{y}"] = rels[x].meet(rels[y])
+        pool = list(rels.values()) + [AutomaticEq.from_dfa(r.dfa) for r in rels.values()]
+        for _ in range(80):
+            a, b = rng.choice(pool), rng.choice(pool)
+            expected = _pairwise_join(a, b)
+            got = _certificate_fields(a.join_certificate(b))
+            result, want = got.pop("result"), expected.pop("result")
+            assert got == expected
+            assert _fields(result) == _fields(want)
+            assert expected["left_representatives"] == tuple(_old_view(a.dfa)[0])
+            assert expected["right_representatives"] == tuple(_old_view(b.dfa)[0])
+
+
+def test_kernel_pair_dfa_reads_the_left_numeral_first():
+    d = shorter_than_dfa()
+    assert d.accepts(pair_word(1, 4)) and not d.accepts(pair_word(4, 1))
+    assert not d.accepts(pair_word(3, 3))  # still no reflexive control

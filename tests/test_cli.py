@@ -429,7 +429,7 @@ class TestVerifyCommand:
         # A corpus relation that fails transitivity fails its row; the suite
         # still prints every row.
         real = am.corpus
-        bad = am.AutomaticEq._trust(shared_feature_dfa())
+        bad = am.AutomaticEq(am.minimize(shared_feature_dfa()), _trusted=True)
         monkeypatch.setattr(am, "corpus", lambda: {**real(), "bad": bad})
         code, out, err = run(capsys, "verify", "automatic")
         lines = out.splitlines()

@@ -322,6 +322,31 @@ class TestKeyedJoinMatchesScan:
             results = _join_variants(d1, d2, m, n, u, rng.randrange(1, 6))
             assert all(r == results[0] for r in results)
 
+    def test_int_universe_matches_its_list(self):
+        # An int universe is walked as its range, unsorted; the equal list
+        # must give the same result and make the same black-box tests, in
+        # the same order.
+        def logged(d, log):
+            def fn(a, b):
+                log.append((a, b))
+                return d.decide(a, b)
+
+            return DeciderEq(fn, check_bound=0)
+
+        rng = random.Random(15)
+        relations = list(_keyed_builtins().values())
+        for _ in range(80):
+            d1, d2 = rng.choice(relations), rng.choice(relations)
+            u = rng.randrange(1, 80)
+            m, n, bound = rng.randrange(u), rng.randrange(u), rng.randrange(0, 8)
+            for boxed in ((), (1,), (0, 1)):
+                runs = []
+                for universe in (u, list(range(u))):
+                    log = []
+                    pair = [logged(d, log) if i in boxed else d for i, d in enumerate((d1, d2))]
+                    runs.append((bounded_join(*pair, m, n, universe, bound), log))
+                assert runs[0] == runs[1]
+
     def test_black_box_test_counts(self):
         # The search order fixes how many tests each black box receives, the
         # link labels included.  The totals are those the closure-per-point
