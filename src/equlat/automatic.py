@@ -21,9 +21,9 @@ the whole infinite relation.
 
 An ``AutomaticEq`` is worked on as its *classifier* ``(delta, start,
 labels)``, a Moore machine over the digits: the state after a canonical
-numeral is labelled with its class, numbered by least member.  ``meet``
-refines a product of classifiers, ``join`` and ``coarsen`` relabel one, and
-the pair DFA is built from the classifier only when asked for.
+numeral is labelled with its class, numbered by least member.  ``meet`` is
+a product of classifiers, ``join`` and ``coarsen`` relabel and refine one,
+and the pair DFA is built from the classifier only when asked for.
 """
 from __future__ import annotations
 
@@ -263,11 +263,11 @@ class AutomaticEq:
                 raise ValidationError(axiom, message)
 
     @classmethod
-    def _from_classifier(cls, successors: Callable, start, label: Callable) -> "AutomaticEq":
-        """For outputs that are equivalences by construction.  The start's
-        label must mark exactly the states no canonical numeral reaches."""
-        delta, raw = refine(successors, start, label)
-        # Blocks come in BFS order, so classes by least member, after -1 for raw[0].
+    def _from_classifier(cls, delta, raw: Sequence[Hashable]) -> "AutomaticEq":
+        """For outputs that are equivalences by construction: a digit table in
+        BFS order from 0 and its states' labels, the start's on exactly the
+        states no canonical numeral reaches.  Those get -1, and the classes
+        are numbered in BFS order, which meets each first at its least member."""
         number = dict(zip(dict.fromkeys(raw), range(-1, len(raw))))
         return cls(None, True, None, (delta, 0, list(map(number.__getitem__, raw))))
 
@@ -309,11 +309,12 @@ class AutomaticEq:
 
     def meet(self, other: "AutomaticEq") -> "AutomaticEq":
         """Conjunction of the two relations: the product of the classifiers,
-        labelled by pairs of classes."""
+        labelled by pairs of classes.  Minimal operands give a minimal product:
+        a word telling two states of one apart tells their pairs apart."""
         (da, sa, la), (db, sb, lb) = self._classes(), other._classes()
-        rel = AutomaticEq._from_classifier(
-            lambda pq: zip(da[pq[0]], db[pq[1]]), (sa, sb), lambda pq: (la[pq[0]], lb[pq[1]])
-        )
+        index = _Index((sa, sb))
+        delta = [tuple(map(index.__getitem__, zip(da[p], db[q]))) for p, q in index.order]
+        rel = AutomaticEq._from_classifier(delta, [(la[p], lb[q]) for p, q in index.order])
         rel._operands = (*(self._operands or (self,)), *(other._operands or (other,)))
         return rel
 
@@ -342,7 +343,7 @@ class AutomaticEq:
         reps = [{k[side]: v for k, v in reversed(least.items())} for side in (0, 1)]
         joined = [left_components[c] if c >= 0 else -1 for c in la]
         return JoinCertificate(
-            result=AutomaticEq._from_classifier(da.__getitem__, sa, joined.__getitem__),
+            result=AutomaticEq._from_classifier(*refine(da, sa, joined.__getitem__)),
             left_representatives=tuple(sorted(reps[0].values())),
             right_representatives=tuple(sorted(reps[1].values())),
             edges=tuple(edges),
@@ -370,9 +371,8 @@ class AutomaticEq:
                 block_of[idx] = b
         if len(block_of) != count:
             raise ValueError("grouping must cover every class exactly once")
-        return AutomaticEq._from_classifier(
-            delta.__getitem__, start, lambda s: block_of.get(labels[s], -1)
-        )
+        grouped = [block_of.get(c, -1) for c in labels]
+        return AutomaticEq._from_classifier(*refine(delta, start, grouped.__getitem__))
 
     def key(self, x: int) -> int:
         """The class number of x: the relation is this key's kernel."""
@@ -466,7 +466,7 @@ def kernel_relation(
     n = len(delta01)
     delta = [*delta01, (n + 1, n + 1), (n + 1, n + 1), (n, delta01[start][1])]
     labels = [(key_of.get(s),) for s in range(n)] + [(key_of[delta01[start][0]],), (), ()]
-    return AutomaticEq._from_classifier(delta.__getitem__, n + 2, labels.__getitem__)
+    return AutomaticEq._from_classifier(*refine(delta, n + 2, labels.__getitem__))
 
 
 def universal_relation() -> AutomaticEq:

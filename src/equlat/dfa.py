@@ -100,17 +100,17 @@ class _Index(dict):
         return number
 
 
-def _reach(successors: Callable[[Hashable], Iterable], start: Hashable) -> _Index:
+def _reach(delta, start: int) -> _Index:
     index = _Index(start)
     for s in index.order:
-        for t in successors(s):
+        for t in delta[s]:
             index[t]  # numbers t on first sight
     return index
 
 
 def reachable_states(d: Dfa) -> list[int]:
     """States reachable from the start, in BFS discovery order."""
-    return _reach(d.delta.__getitem__, d.start).order
+    return _reach(d.delta, d.start).order
 
 
 def product_table(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]:
@@ -141,14 +141,14 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
     return is_empty(product(a, b, lambda x, y: x != y))
 
 
-def refine(successors: Callable[[Hashable], Iterable], start: Hashable, label: Callable) -> tuple:
-    """Moore refinement of the states reachable from ``start`` (any hashable
-    values, any number of successors): blocks start as labels, split on
-    successors' blocks until stable, and are numbered by first state in BFS
-    order.  Returns the quotient's rows and each block's label."""
-    index = _reach(successors, start)
-    columns = [list(map(index.__getitem__, col)) for col in zip(*map(successors, index.order))]
-    labels = list(map(label, index.order))
+def refine(delta, start: int, label: Callable[[int], Hashable]) -> tuple[tuple, list]:
+    """Moore refinement of the states reachable from ``start``, rows of any
+    width: blocks start as labels, split on successors' blocks until stable,
+    and are numbered by first state in BFS order.  Returns (rows, labels)."""
+    index = _reach(delta, start)
+    order = index.order
+    columns = [list(map(index.__getitem__, col)) for col in zip(*map(delta.__getitem__, order))]
+    labels = list(map(label, order))
     signatures, block = labels, None
     while True:
         distinct = dict.fromkeys(signatures)
@@ -167,7 +167,7 @@ def refine(successors: Callable[[Hashable], Iterable], start: Hashable, label: C
 def minimize(d: Dfa) -> Dfa:
     """Minimal DFA for the same language (Moore partition refinement); each
     block is numbered by its first reachable state in BFS order."""
-    delta, final = refine(d.delta.__getitem__, d.start, d.accepting.__contains__)
+    delta, final = refine(d.delta, d.start, d.accepting.__contains__)
     return Dfa._mk(delta, 0, frozenset(compress(range(len(final)), final)))
 
 

@@ -21,7 +21,7 @@ from equlat.automatic import (
     singleton_family,
     universal_relation,
 )
-from equlat.dfa import Dfa, binary, equivalent, minimize, pair_word, product
+from equlat.dfa import Dfa, binary, equivalent, minimize, pair_word, product, refine
 from equlat.partition import Partition
 from equlat.verify import _brute_axioms
 
@@ -866,6 +866,12 @@ def _view(rel):
     return rel.representatives(), rel.class_count, [rel.key(x) for x in range(64)]
 
 
+def _is_minimal(rel):
+    """Moore refinement leaves the classifier as it is: meets skip it."""
+    delta, start, labels = rel._classes()
+    return refine(delta, start, labels.__getitem__) == (tuple(delta), labels)
+
+
 def _groupings(count):
     """Identity, neighbouring pairs, all in one, and the last class alone."""
     out = [[[c] for c in range(count)], [list(range(c, min(c + 2, count))) for c in range(0, count, 2)]]
@@ -881,6 +887,7 @@ class TestClassifiersMatchPairDfaPath:
         for x, a in rels.items():
             for y, b in rels.items():
                 meet, want = a.meet(b), _old_meet(a, b)
+                assert _is_minimal(meet)
                 assert equivalent(meet.dfa, want) and _fields(meet.dfa) == _fields(want), (x, y)
                 assert meet.restrict(64) == a.restrict(64).meet(b.restrict(64))
                 assert _view(meet) == _old_view(want), (x, y)
@@ -907,6 +914,7 @@ class TestClassifiersMatchPairDfaPath:
         counts = [acc.class_count]
         for i in range(2, 65):
             acc = acc.meet(singleton_family(i))
+            assert _is_minimal(acc)
             old = minimize(product(old, singleton_family(i).dfa, operator.and_))
             counts.append(len(_old_classes(old)[1]))
             if i % 16 == 0:
@@ -923,6 +931,7 @@ class TestClassifiersMatchPairDfaPath:
             x, y = rng.choice(names), rng.choice(names)
             rels[f"{x}^{y}"] = rels[x].meet(rels[y])
         pool = list(rels.values()) + [AutomaticEq.from_dfa(r.dfa) for r in rels.values()]
+        assert all(_is_minimal(a.meet(b)) for a in pool[::3] for b in pool[1::3])
         for _ in range(80):
             a, b = rng.choice(pool), rng.choice(pool)
             expected = _pairwise_join(a, b)
