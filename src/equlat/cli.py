@@ -220,8 +220,8 @@ MAX_PROBE_BOUND = 4_000
 # `complement` keeps about 100 bytes per value up to the largest value asked.
 MAX_COMPLEMENT_VALUE = 100_000
 # The automatic-meet-growth demo folds k meets of ever larger classifiers; its
-# time grows faster than k^2 (0.13 s at k = 256, 0.5 s at 512, 1.5-2.3 s at 1024).
-MAX_MEET_GROWTH_K = 512
+# time grows about as k^2 (0.1 s at k = 256, 0.3 s at 512, 1.2-1.3 s at 1024).
+MAX_MEET_GROWTH_K = 1024
 # `family meet` and the family-meet demo build member i with cuts[i] labels
 # for each i <= k, so the sum of those cuts bounds both the work and the
 # largest cut, cuts[k], which sizes the result (0.3-0.6 s and 34-46 MB at
