@@ -234,8 +234,8 @@ MAX_RESTRICT = 100_000
 MAX_DFA_BYTES = 1 << 20
 # Checking an automaton that is no equivalence may take one pair BFS per
 # class, which grows as the cube of the state count: 2.4-2.9 s at 247
-# states, 28 s at 497.  It also bounds `automatic meet` and `join`, whose
-# output pair DFA at the limit took up to 1.0-1.1 s to build.
+# states, 28 s at 497.  It also bounds `automatic meet` and `join`: 0.9-1.1 s
+# at the limit, most of it building the output pair DFA.
 MAX_DFA_STATES = 256
 # The atoms demo joins one n-element partition per member of its set
 # (0.56 s, 47 MB at n = 100,000 with three members; the joins alone took
