@@ -42,6 +42,7 @@ def golden_commands() -> list[tuple[str, ...]]:
     commands += [("automatic", "minimize", f"{a}.dfa") for a in names]
     commands += [("automatic", "check", f"{c}.dfa") for c in CONTROLS]
     commands.append(("demo", "automatic-meet-growth", "--k", "64"))
+    commands.append(("verify", "lattice"))
     return commands
 
 
