@@ -390,7 +390,8 @@ class AutomaticEq:
         return Partition.from_key(n, [labels[s] for s in states].__getitem__)
 
     def __repr__(self) -> str:
-        return f"AutomaticEq({self.dfa!r})"
+        # The classifier only: the pair DFA may be far larger, and slow to build.
+        return f"AutomaticEq(classes={self.class_count}, states={len(self._classes()[0])})"
 
 
 @dataclass(frozen=True)

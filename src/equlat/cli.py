@@ -22,8 +22,11 @@ from .partition import Partition, numeral
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)  # never more than the limit allows
+    if len(data) > MAX_FILE_BYTES:
+        raise ValueError(f"file {path} is above the limit {MAX_FILE_BYTES} bytes")
+    return data.decode("utf-8")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -40,11 +43,7 @@ def _load_partition(path: str) -> Partition:
 
 
 def _load_dfa(path: str) -> Dfa:
-    with open(path, "rb") as fh:
-        data = fh.read(MAX_DFA_BYTES + 1)  # never more than the limit allows
-    if len(data) > MAX_DFA_BYTES:
-        raise ValueError(f"DFA file {path} is above the limit {MAX_DFA_BYTES} bytes")
-    d = dfa_from_text(data.decode("utf-8"))
+    d = dfa_from_text(_read(path))
     _check_limit("DFA state count", d.state_count, MAX_DFA_STATES)
     return d
 
@@ -227,11 +226,14 @@ MAX_MEET_GROWTH_K = 1024
 # largest cut, cuts[k], which sizes the result (0.3-0.6 s and 34-46 MB at
 # the limit in one cut; 2,000 cuts 1..2000 took 1.1 s).
 MAX_FAMILY_CUTS = 100_000
-# `family meet --restrict N` materializes N elements (0.17 s, 29 MB at N =
-# 100,000).
+# `family meet --restrict N` and `decider restrict EXPR N` materialize N
+# elements: 0.17 s and 29 MB for a family at N = 100,000.  Every decider the
+# parser builds has a key, so it costs one key per element: 0.04-0.84 s in
+# process and 25-55 MB at N = 100,000, from parity to nonhalt(100).
 MAX_RESTRICT = 100_000
-# A DFA file is read whole and parsed before its state count is known.
-MAX_DFA_BYTES = 1 << 20
+# A partition, bitmask or DFA file is read whole and parsed before its
+# content is checked against any other limit.
+MAX_FILE_BYTES = 1 << 20
 # Checking an automaton that is no equivalence may take one pair BFS per
 # class, which grows as the cube of the state count: 2.4-2.9 s at 247
 # states, 28 s at 497.  It also bounds `automatic meet` and `join`: 0.9-1.1 s
@@ -263,6 +265,7 @@ def cmd_decider(args) -> int:
         if len(args.values) != 1:
             print("usage: equlat decider restrict EXPR N", file=sys.stderr)
             return 2
+        _check_limit("restrict size", args.values[0], MAX_RESTRICT)
         _emit(rel.restrict(args.values[0]).to_text(), args.out)
         return 0
     if args.op == "check":

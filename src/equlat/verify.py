@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
-from operator import ne
 from typing import Callable
 
 from . import automatic as am
@@ -80,75 +80,23 @@ _AXIOMS = (
 )
 
 
-class _Table(dict):
-    """An operation tabulated over numbered partitions: ``table[i][j]`` is
-    ``number(op(parts[i], parts[j]))``, computed on first read and kept, so
-    each ordered pair costs one call."""
-
-    __slots__ = ("op", "parts", "number")
-
-    def __init__(self, op, parts: list[Partition], number: Callable[[Partition], int]):
-        self.op, self.parts, self.number = op, parts, number
-
-    def __missing__(self, i: int) -> "_Row":
-        row = self[i] = _Row()
-        row.op, row.left, row.parts, row.number = self.op, self.parts[i], self.parts, self.number
-        return row
-
-
-class _Row(dict):
-    """Row i of a ``_Table``.  It holds no reference back to the table, so a
-    table is freed without waiting for the cycle collector."""
-
-    __slots__ = ("op", "left", "parts", "number")
-
-    def __missing__(self, j: int) -> int:
-        value = self[j] = self.number(self.op(self.left, self.parts[j]))
-        return value
-
-
-def _tables(meet_fn: MeetFn, join_fn: JoinFn):
-    """Partitions numbered in the order first seen, the function that numbers
-    one, and the meet and join tables over that numbering.  A partition is
-    numbered by its labels, which are canonical, so equal partitions share
-    one number."""
-    parts: list[Partition] = []
-    numbers: dict[tuple[int, ...], int] = {}
-
-    def number(p: Partition) -> int:
-        i = numbers.setdefault(p.labels, len(parts))
-        if i == len(parts):
-            parts.append(p)
-        return i
-
-    return parts, number, _Table(meet_fn, parts, number), _Table(join_fn, parts, number)
-
-
-def _axiom_failures(rows) -> dict[str, int]:
-    """Violations of every lattice axiom over rows (meet, join, e, f, gs),
-    where e, f and each g are numbers in the tables meet and join of one
-    ``_tables``: the pair axioms once per row, associativity once per g."""
+def _axiom_failures(meet, join, leq, rows) -> dict[str, int]:
+    """Violations of every lattice axiom over rows (e, f, gs) under the
+    operations meet and join and the order leq: the pair axioms once per
+    row, associativity once per g."""
     fails = dict.fromkeys(_AXIOMS, 0)
-    for meet, join, e, f, gs in rows:
-        parts = meet.parts
-        me, je = meet[e], join[e]
-        mef, jef = me[f], je[f]
-        fails["meet idempotent"] += me[e] != e
-        fails["join idempotent"] += je[e] != e
-        fails["meet commutative"] += mef != meet[f][e]
-        fails["join commutative"] += jef != join[f][e]
-        fails["absorption"] += me[jef] != e or je[mef] != e
-        low = parts[e].leq(parts[f])
+    for e, f, gs in rows:
+        mef, jef = meet(e, f), join(e, f)
+        fails["meet idempotent"] += meet(e, e) != e
+        fails["join idempotent"] += join(e, e) != e
+        fails["meet commutative"] += mef != meet(f, e)
+        fails["join commutative"] += jef != join(f, e)
+        fails["absorption"] += meet(e, jef) != e or join(e, mef) != e
+        low = leq(e, f)
         fails["order compatibility"] += low != (mef == e) or low != (jef == f)
-        # (e op f) op g against e op (f op g), for every g at once.
-        for name, table, row in (("meet", meet, me), ("join", join, je)):
-            fails[f"{name} associative"] += sum(
-                map(
-                    ne,
-                    map(table[row[f]].__getitem__, gs),
-                    map(row.__getitem__, map(table[f].__getitem__, gs)),
-                )
-            )
+        for g in gs:
+            fails["meet associative"] += meet(mef, g) != meet(e, meet(f, g))
+            fails["join associative"] += join(jef, g) != join(e, join(f, g))
     return fails
 
 
@@ -159,15 +107,28 @@ def _exhaustive_failures(
     {0..n-1}, plus the number of pairs whose join differs from
     ``chain_closure_join``, and the number of pairs.
 
-    A result outside the enumeration, which only a broken operation returns,
-    is numbered when it is first seen; its row and column are filled as they
-    are read.
+    Partitions are numbered in the order first seen, by their canonical
+    labels, and each operation is memoized on numbers, so each ordered pair
+    costs one call.  A result outside the enumeration, which only a broken
+    operation returns, is numbered when it is first seen.
     """
-    parts, number, meet, join = _tables(meet_fn, join_fn)
+    parts: list[Partition] = []
+    numbers: dict[tuple[int, ...], int] = {}
+
+    def number(p: Partition) -> int:
+        i = numbers.setdefault(p.labels, len(parts))
+        if i == len(parts):
+            parts.append(p)
+        return i
+
+    meet = cache(lambda i, j: number(meet_fn(parts[i], parts[j])))
+    join = cache(lambda i, j: number(join_fn(parts[i], parts[j])))
     grid = [number(p) for p in all_partitions(n)]
-    fails = _axiom_failures((meet, join, e, f, grid) for e in grid for f in grid)
+    fails = _axiom_failures(
+        meet, join, lambda i, j: parts[i].leq(parts[j]), ((e, f, grid) for e in grid for f in grid)
+    )
     chain_bad = sum(
-        parts[join[e][f]] != chain_closure_join(parts[e], parts[f]) for e in grid for f in grid
+        parts[join(e, f)] != chain_closure_join(parts[e], parts[f]) for e in grid for f in grid
     )
     return fails, chain_bad, len(grid) ** 2
 
@@ -194,16 +155,11 @@ def lattice_checks(
         (random_partition(10, rng), random_partition(10, rng)) for _ in range(random_pairs)
     ]
     gs = [random_partition(10, rng) for _ in sample]
-
-    def sample_rows():
-        # Sample rows share no work, so each has tables of its own, freed
-        # when the next row starts: the sample holds one row's results at a
-        # time, not every row's.
-        for (e, f), g in zip(sample, gs):
-            _, number, meet, join = _tables(meet_fn, join_fn)
-            yield meet, join, number(e), number(f), (number(g),)
-
-    fails.update(_axiom_failures(sample_rows()))
+    fails.update(
+        _axiom_failures(
+            meet_fn, join_fn, Partition.leq, ((e, f, (g,)) for (e, f), g in zip(sample, gs))
+        )
+    )
     for axiom, count in fails.items():
         out.append(
             CheckResult(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from equlat import automatic as am
 from equlat.automatic import (
     AutomaticEq,
     ValidationError,
@@ -712,6 +713,15 @@ class TestClassTableMatchesOldLoops:
                 assert meet.dfa is d
                 assert _fields(d) == _fields(_old_meet(a, b))
                 assert _view(meet) == _old_view(d)
+
+    def test_repr_reads_only_the_classifier(self, monkeypatch):
+        rels = corpus.__wrapped__()
+        a, b = rels["parity"], rels["bitlen3"]
+        monkeypatch.setattr(am, "kernel_pair_dfa", None)  # any call would raise
+        for rel in (a.join(b), a.meet(b)):
+            states = len(rel._classes()[0])
+            assert repr(rel) == f"AutomaticEq(classes={rel.class_count}, states={states})"
+            assert rel._dfa is None
 
     def test_join_certificates_on_admitted_relations(self):
         admitted = []

@@ -15,9 +15,9 @@ from equlat.cli import (
     MAX_ATOMS_WORK,
     MAX_CHECK_BOUND,
     MAX_COMPLEMENT_VALUE,
-    MAX_DFA_BYTES,
     MAX_DFA_STATES,
     MAX_FAMILY_CUTS,
+    MAX_FILE_BYTES,
     MAX_MEET_GROWTH_K,
     MAX_PROBE_BOUND,
     MAX_RESTRICT,
@@ -114,6 +114,22 @@ class TestPartitionCommands:
         assert code == 0
         assert out.splitlines() == ["atom: 0 1", "atom: 2 3"]
 
+    def test_file_size_limit(self, capsys, monkeypatch, tmp_path):
+        # The parse is stubbed to record the length of the text it is given.
+        read = []
+        monkeypatch.setattr(
+            Partition, "from_text", classmethod(lambda cls, t: read.append(len(t)) or cls.top(2))
+        )
+        target = tmp_path / "padded.part"
+        target.write_text("\n" * MAX_FILE_BYTES)
+        code, out, err = run(capsys, "partition", "complement", str(target))
+        assert (code, err) == (0, "") and read == [MAX_FILE_BYTES]
+        read.clear()
+        target.write_text("\n" * (MAX_FILE_BYTES + 1))
+        code, out, err = run(capsys, "partition", "complement", str(target))
+        assert code == 2 and out == "" and read == []
+        assert err == f"error: file {target} is above the limit {MAX_FILE_BYTES} bytes\n"
+
 
 class TestAutomaticCommands:
     def test_builtin_listing_and_export(self, capsys, tmp_path):
@@ -190,14 +206,14 @@ class TestAutomaticCommands:
         monkeypatch.setattr(am, "admission_checks", lambda d: checked.append(d.state_count) or [])
         text = dfa_to_text(corpus()["mod3"].dfa)
         target = tmp_path / "padded.dfa"
-        target.write_text(text + "\n" * (MAX_DFA_BYTES - len(text)))
+        target.write_text(text + "\n" * (MAX_FILE_BYTES - len(text)))
         code, out, err = run(capsys, "automatic", "check", str(target))
         assert (code, out, err) == (0, "", "") and checked == [corpus()["mod3"].dfa.state_count]
         checked.clear()
-        target.write_text(text + "\n" * (MAX_DFA_BYTES + 1 - len(text)))
+        target.write_text(text + "\n" * (MAX_FILE_BYTES + 1 - len(text)))
         code, out, err = run(capsys, "automatic", "check", str(target))
         assert code == 2 and out == "" and checked == []
-        assert err == f"error: DFA file {target} is above the limit {MAX_DFA_BYTES} bytes\n"
+        assert err == f"error: file {target} is above the limit {MAX_FILE_BYTES} bytes\n"
 
     @pytest.mark.parametrize("op", ["check", "reps", "minimize", "meet", "join"])
     def test_dfa_state_limit(self, capsys, monkeypatch, tmp_path, op):
@@ -246,6 +262,20 @@ class TestDeciderCommands:
         assert code == 0
         assert Partition.from_text(out) == Partition.from_classes(
             [[0, 2, 4], [1], [3], [5]]
+        )
+
+    def test_restrict_size_limit(self, capsys, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            dc.DeciderEq, "restrict", lambda self, n: sizes.append(n) or Partition.bottom(1)
+        )
+        code, out, err = run(capsys, "decider", "restrict", "parity", str(MAX_RESTRICT))
+        assert (code, out, err) == (0, "class: 0\n", "") and sizes == [MAX_RESTRICT]
+        sizes.clear()
+        code, out, err = run(capsys, "decider", "restrict", "parity", str(MAX_RESTRICT + 1))
+        assert code == 2 and out == "" and sizes == []
+        assert err == (
+            f"error: restrict size {MAX_RESTRICT + 1} is above the limit {MAX_RESTRICT}\n"
         )
 
     def test_unknown_name_is_an_error(self, capsys):
@@ -376,6 +406,14 @@ class TestFamilyAndDemos:
         )
         assert code == 0
         assert SmallEq.from_text(out).tail_members_below() == (1, 2, 4)
+
+    def test_family_meet_bitmask_size_limit(self, capsys, tmp_path):
+        mask = tmp_path / "mask.txt"
+        mask.write_text("0" * (MAX_FILE_BYTES + 1))
+        argv = ("family", "meet", "--pred", f"bitmask:{mask}", "--cuts", "4,8,16", "--k", "1")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: file {mask} is above the limit {MAX_FILE_BYTES} bytes\n"
 
     @pytest.mark.parametrize("argv", [("--set", "1"), ("--set", "1,9"), ("--set", "1,3", "--n", "3")])
     def test_demo_atoms_validates_before_printing(self, capsys, argv):

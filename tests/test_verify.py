@@ -83,10 +83,10 @@ def test_run_suite_rejects_unknown():
         run_suite("nonsense")
 
 
-# -- table-driven checks against the direct loops ------------------------------
+# -- the axiom counter against the direct loops --------------------------------
 
-# The direct loops over pairs and triples that the lattice suite once ran for
-# its random sample, kept as the oracle of the table-driven counts.
+# The direct loops over pairs and triples, kept as the oracle of the counts
+# that the lattice suite's one axiom counter makes.
 _PAIR_AXIOMS = (
     "meet idempotent",
     "join idempotent",
@@ -237,7 +237,7 @@ OPERATIONS = {
     "meet returns e": (_meet_first, Partition.join),
     "meet returns f": (_meet_second, Partition.join),
     # the join's results lie outside the enumeration, and so do the meet's
-    # on them: both tables intern new partitions and read their rows
+    # on them: both memos number new partitions and call the operations on them
     "join on another universe": (_meet_second, _join_on_larger_universe),
     "meet wrong on a few pairs": (_meet_wrong_below_top, Partition.join),
 }
