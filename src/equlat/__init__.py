@@ -47,7 +47,6 @@ from .decider import (
     bounded_join,
     bottom_decider,
     from_partition,
-    is_equivalence_sampled,
     least_element_complement,
     meet_combinator,
     parity_decider,

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Generator, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .dfa import (
     Dfa,
@@ -182,21 +182,21 @@ class _ClassTable:
         )
 
 
-def _admission(d: Dfa) -> Generator[tuple[str, bool, str], None, _ClassTable]:
-    """Every admission row ``(axiom, holds, message)`` in ``from_dfa``'s
-    order, each computed when asked for, and then the clean automaton's
-    class table; the axioms are read even when the format check fails."""
+def _admission(d: Dfa) -> Iterator[tuple[str, bool, str, _ClassTable | None]]:
+    """Every admission row ``(axiom, holds, message, table)`` in ``from_dfa``'s
+    order, each computed when asked for; ``table`` is the clean automaton's
+    class table, None on the format row.  The axioms are read even when the
+    format check fails."""
     well_formed, clean = _format_product(d)
-    yield "format", well_formed, "accepts words outside 'numeral B numeral'"
+    yield "format", well_formed, "accepts words outside 'numeral B numeral'", None
     table = _ClassTable(minimize(clean))
-    yield "reflexivity", table.reflexive(), "some w B w is rejected"
-    yield "symmetry", table.symmetric(), "language differs from its swap"
-    yield "transitivity", table.transitive(), "class languages are not nested"
-    return table
+    yield "reflexivity", table.reflexive(), "some w B w is rejected", table
+    yield "symmetry", table.symmetric(), "language differs from its swap", table
+    yield "transitivity", table.transitive(), "class languages are not nested", table
 
 
 def _row(d: Dfa, axiom: str) -> bool:
-    return next(holds for name, holds, _ in _admission(d) if name == axiom)
+    return next(holds for name, holds, _, _ in _admission(d) if name == axiom)
 
 
 def check_format(d: Dfa) -> bool:
@@ -236,7 +236,7 @@ def admission_checks(d: Dfa) -> list[tuple[str, bool]]:
     """Every admission check by axiom name, in ``from_dfa``'s order, from one
     format product and one class table; the axioms are read on the clean
     automaton even when the format check fails."""
-    return [(axiom, holds) for axiom, holds, _ in _admission(d)]
+    return [(axiom, holds) for axiom, holds, _, _ in _admission(d)]
 
 
 class AutomaticEq:
@@ -253,14 +253,10 @@ class AutomaticEq:
     def from_dfa(cls, d: Dfa) -> "AutomaticEq":
         """Validate and wrap a DFA; raises ValidationError naming the failed
         axiom otherwise."""
-        rows = _admission(d)
-        while True:
-            try:
-                axiom, holds, message = next(rows)
-            except StopIteration as done:
-                return cls(done.value.dfa, True, done.value)
+        for axiom, holds, message, table in _admission(d):
             if not holds:
                 raise ValidationError(axiom, message)
+        return cls(table.dfa, True, table)
 
     @classmethod
     def _from_classifier(cls, delta, raw: Sequence[Hashable]) -> "AutomaticEq":
@@ -288,7 +284,7 @@ class AutomaticEq:
     def _classes(self) -> tuple:
         """The classifier, read off the class table on first use."""
         if self._classifier is None:
-            d, state_class = self._dfa, (self._table or _ClassTable(self._dfa)).state_class
+            d, state_class = self._dfa, self._table.state_class
             labels = [state_class.get(s, -1) for s in range(d.state_count)]
             self._classifier = (tuple(row[:2] for row in d.delta), d.start, labels)
         return self._classifier

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import automatic as am
 from . import constructions as cs
@@ -50,6 +50,20 @@ def _load_dfa(path: str) -> Dfa:
 
 def _load_automatic(path: str) -> am.AutomaticEq:
     return am.AutomaticEq.from_dfa(_load_dfa(path))
+
+
+def _load_machine(spec: str) -> tmlab.TmSpec:
+    """A zoo name, or else a path to a machine file."""
+    machines = tmlab.zoo()
+    if spec in machines:
+        return machines[spec]
+    try:
+        text = _read(spec)
+    except FileNotFoundError:
+        raise tmlab.MachineError(
+            f"unknown machine {spec!r}; zoo has: {', '.join(sorted(machines))}"
+        ) from None
+    return tmlab.tm_from_text(text, name=spec)
 
 
 # -- partition group ---------------------------------------------------------
@@ -195,7 +209,7 @@ def _build_expr(node: ast.expr) -> dc.DeciderEq:
             raise ValueError(f"unknown predicate {args[0].id!r}")
         return dc.singular_from_predicate(pred, cost_note=f"singular({args[0].id})")
     if name in ("approx_even", "approx_odd") and len(args) == 1 and isinstance(args[0], ast.Name):
-        machine = tmlab.load_machine(args[0].id)
+        machine = _load_machine(args[0].id)
         return tmlab.approx_even(machine) if name == "approx_even" else tmlab.approx_odd(machine)
     if name == "nonhalt" and len(args) == 1 and isinstance(args[0], ast.Constant):
         n = args[0].value
@@ -231,8 +245,8 @@ MAX_FAMILY_CUTS = 100_000
 # parser builds has a key, so it costs one key per element: 0.04-0.84 s in
 # process and 25-55 MB at N = 100,000, from parity to nonhalt(100).
 MAX_RESTRICT = 100_000
-# A partition, bitmask or DFA file is read whole and parsed before its
-# content is checked against any other limit.
+# A partition, bitmask, DFA or machine file is read whole and parsed before
+# its content is checked against any other limit.
 MAX_FILE_BYTES = 1 << 20
 # Checking an automaton that is no equivalence may take one pair BFS per
 # class, which grows as the cube of the state count: 2.4-2.9 s at 247
@@ -270,7 +284,9 @@ def cmd_decider(args) -> int:
         return 0
     if args.op == "check":
         _check_limit("check bound", args.bound, MAX_CHECK_BOUND)
-        ok = dc.is_equivalence_sampled(rel, args.bound)
+        if args.bound < 1:
+            raise ValueError(f"sample bound must be at least 1, got {args.bound}")
+        ok = dc.axiom_counterexamples(rel.decide, args.bound) == (None, None, None)
         print(f"[{'PASS' if ok else 'FAIL'}] equivalence axioms on {{0..{args.bound - 1}}}")
         print(f"cost note: {rel.cost_note}")
         return 0 if ok else 1
@@ -290,7 +306,7 @@ def cmd_tm(args) -> int:
         print("a machine name or file is required", file=sys.stderr)
         return 2
     _check_limit("step bound", args.bound, MAX_RUN_BOUND if args.op == "run" else MAX_PROBE_BOUND)
-    machine = tmlab.load_machine(args.machine)
+    machine = _load_machine(args.machine)
     if args.op == "run":
         steps, final = tmlab.simulate(machine, args.input, args.bound)
         halted = final.state in machine.halting
@@ -363,7 +379,7 @@ def demo_join_undecidable(args) -> int:
     print("bounded shadow of an undecidable join:")
     print("the even-clock and odd-clock step closures are cheap to decide,")
     print("but chaining them answers bounded halting.")
-    machine = tmlab.load_machine(args.machine)
+    machine = _load_machine(args.machine)
     result = tmlab.halting_probe(machine, args.input, args.bound)
     direct = tmlab.halt_step(machine, args.input, args.bound)
     if isinstance(result, tmlab.HaltsInSteps):
@@ -435,15 +451,6 @@ def demo_atoms(args) -> int:
     ok = result == expected
     print(f"[{'PASS' if ok else 'FAIL'}] join of the atoms is that singular relation")
     return 0 if ok else 1
-
-
-DEMOS: dict[str, Callable] = {
-    "join-undecidable": demo_join_undecidable,
-    "automatic-meet-growth": demo_meet_growth,
-    "family-meet": demo_family_meet,
-    "nonhalt-meet": demo_nonhalt_meet,
-    "atoms": demo_atoms,
-}
 
 
 def cmd_verify(args) -> int:

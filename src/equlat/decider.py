@@ -46,9 +46,10 @@ class DeciderEq:
         self.cost_note = cost_note
         self.universe_hint = universe_hint
         if check_bound:
-            violation = _axiom_violation(fn, check_bound)
-            if violation is not None:
-                raise NotAnEquivalence(violation)
+            found = axiom_counterexamples(fn, check_bound)
+            for axiom, where in zip(("reflexive", "symmetric", "transitive"), found):
+                if where is not None:
+                    raise NotAnEquivalence(f"not {axiom} at {where}")
 
     @classmethod
     def from_key(
@@ -109,21 +110,6 @@ def axiom_counterexamples(
         None,
     )
     return refl, sym, trans
-
-
-def _axiom_violation(fn, bound: int) -> str | None:
-    found = axiom_counterexamples(fn, bound)
-    for axiom, where in zip(("reflexive", "symmetric", "transitive"), found):
-        if where is not None:
-            return f"not {axiom} at {where}"
-    return None
-
-
-def is_equivalence_sampled(d: DeciderEq, bound: int) -> bool:
-    """Exhaustive axiom check over {0..bound-1}; a sample, not a proof."""
-    if bound < 1:
-        raise ValueError(f"sample bound must be at least 1, got {bound}")
-    return _axiom_violation(d._fn, bound) is None
 
 
 def bottom_decider() -> DeciderEq:

@@ -690,17 +690,3 @@ def zoo() -> dict:
             name = entry.name[: -len(".tm")]
             out[name] = tm_from_text(entry.read_text(), name=name)
     return out
-
-
-def load_machine(spec: str) -> TmSpec:
-    """A zoo name, or a path to a machine file."""
-    machines = zoo()
-    if spec in machines:
-        return machines[spec]
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return tm_from_text(fh.read(), name=spec)
-    except OSError:
-        raise MachineError(
-            f"unknown machine {spec!r}; zoo has: {', '.join(sorted(machines))}"
-        ) from None

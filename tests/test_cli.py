@@ -1,6 +1,7 @@
 import ast
 import operator
 import pathlib
+import re
 
 import pytest
 
@@ -378,6 +379,46 @@ class TestTmCommands:
         code, out, _ = run(capsys, "tm", "run", str(path), "1", "--bound", "10")
         assert code == 0 and "(halted)" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tm", "run", "no-such-machine"),
+            ("tm", "probe", "no-such-machine"),
+            ("demo", "join-undecidable", "--machine", "no-such-machine"),
+            ("decider", "decide", "approx_even(no_such_machine)", "0", "1"),
+        ],
+        ids=["tm-run", "tm-probe", "demo", "grammar"],
+    )
+    def test_unknown_machine(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        name = argv[-3] if argv[0] == "decider" else argv[-1]
+        name = name.removeprefix("approx_even(").removesuffix(")")
+        zoo_names = ", ".join(sorted(tmlab.zoo()))
+        assert code == 2
+        assert err == f"error: unknown machine {name!r}; zoo has: {zoo_names}\n"
+
+    def test_machine_path_is_a_directory(self, capsys, tmp_path):
+        # Only a missing file is an unknown machine; other errors report themselves.
+        code, out, err = run(capsys, "tm", "run", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "unknown machine" not in err
+
+    def test_machine_file_size_limit(self, capsys, monkeypatch, tmp_path):
+        # The parse is stubbed to record the length of the text it is given.
+        read = []
+        halt = tmlab.zoo()["halt"]
+        monkeypatch.setattr(tmlab, "tm_from_text", lambda t, name="": read.append(len(t)) or halt)
+        target = tmp_path / "padded.tm"
+        target.write_text("\n" * MAX_FILE_BYTES)
+        code, out, err = run(capsys, "tm", "run", str(target))
+        assert (code, err) == (0, "") and read == [MAX_FILE_BYTES]
+        read.clear()
+        target.write_text("\n" * (MAX_FILE_BYTES + 1))
+        code, out, err = run(capsys, "tm", "run", str(target))
+        assert code == 2 and out == "" and read == []
+        assert err == f"error: file {target} is above the limit {MAX_FILE_BYTES} bytes\n"
+
 
 class TestFamilyAndDemos:
     def test_family_meet_emits_small_relation(self, capsys):
@@ -467,7 +508,8 @@ class TestVerifyCommand:
         # A corpus relation that fails transitivity fails its row; the suite
         # still prints every row.
         real = am.corpus
-        bad = am.AutomaticEq(am.minimize(shared_feature_dfa()), _trusted=True)
+        dfa = am.minimize(shared_feature_dfa())
+        bad = am.AutomaticEq(dfa, _trusted=True, _table=am._ClassTable(dfa))
         monkeypatch.setattr(am, "corpus", lambda: {**real(), "bad": bad})
         code, out, err = run(capsys, "verify", "automatic")
         lines = out.splitlines()
@@ -512,6 +554,11 @@ class TestExitContract:
         assert code == 2
         assert err.startswith("error: ") and "at least 1" in err
         assert out == ""
+
+    def test_zero_sample_bound_message(self, capsys):
+        code, out, err = run(capsys, "decider", "check", "parity", "--bound", "0")
+        assert code == 2 and out == ""
+        assert err == "error: sample bound must be at least 1, got 0\n"
 
     def test_sample_bound_one(self, capsys):
         code, out, _ = run(capsys, "decider", "check", "parity", "--bound", "1")
@@ -761,3 +808,20 @@ def test_no_private_names_of_other_modules(module):
         and node.attr.startswith("_")
     ]
     assert aliases and private == []
+
+
+def test_readme_limits_table_matches_the_cli():
+    """Every ``MAX_*`` value of the CLI appears, comma-formatted, in the limit
+    column of the README's limits table, and every number there is one of them."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| option | limit | why |") + 2  # past the header rule
+    column = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        column.append(re.split(r"(?<!\\)\|", line)[2])
+    numbers = {n for cell in column for n in re.findall(r"\d[\d,]*\d|\d", cell)}
+    names = [name for name in vars(cli) if name.startswith("MAX_")]
+    assert len(column) >= len(names) > 0  # a row for each limit at least
+    assert numbers == {f"{getattr(cli, name):,}" for name in names}

@@ -11,10 +11,10 @@ from equlat.decider import (
     NotAnEquivalence,
     NotWithinBounds,
     RelatedWitness,
+    axiom_counterexamples,
     bottom_decider,
     bounded_join,
     from_partition,
-    is_equivalence_sampled,
     least_element_complement,
     meet_combinator,
     parity_decider,
@@ -47,24 +47,28 @@ def _keyed_builtins() -> dict[str, DeciderEq]:
 
 class TestRegistration:
     def test_non_equivalence_is_a_construction_error(self):
-        with pytest.raises(NotAnEquivalence, match="not transitive"):
+        with pytest.raises(NotAnEquivalence) as exc:
             DeciderEq(lambda m, n: abs(m - n) <= 1, cost_note="near")
+        assert str(exc.value) == "not transitive at (0, 1, 2)"
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(NotAnEquivalence, match="not symmetric"):
+        with pytest.raises(NotAnEquivalence) as exc:
             DeciderEq(lambda m, n: m <= n)
+        assert str(exc.value) == "not symmetric at (1, 0)"
 
     def test_irreflexive_rejected(self):
-        with pytest.raises(NotAnEquivalence, match="not reflexive"):
+        with pytest.raises(NotAnEquivalence) as exc:
             DeciderEq(lambda m, n: m != n)
+        assert str(exc.value) == "not reflexive at 0"
 
     def test_sampled_check_function(self):
-        assert is_equivalence_sampled(singular_from_predicate(lambda x: x % 2 == 0), 64)
+        d = singular_from_predicate(lambda x: x % 2 == 0)
+        assert axiom_counterexamples(d.decide, 64) == (None, None, None)
 
     def test_sampled_check_flags_near_relation(self):
         # skip the registration gate to probe the checker itself
         near = DeciderEq(lambda m, n: abs(m - n) <= 1, check_bound=0)
-        assert not is_equivalence_sampled(near, 32)  # 0~1~2 but not 0~2
+        assert axiom_counterexamples(near.decide, 32) == (None, None, (0, 1, 2))  # 0~1~2 but not 0~2
 
 
 class TestBuiltins:
@@ -137,7 +141,7 @@ class TestLeastElementComplement:
         for _ in range(10):
             p = random_partition(8, rng)
             d = least_element_complement(from_partition(p))
-            assert is_equivalence_sampled(d, 24)
+            assert axiom_counterexamples(d.decide, 24) == (None, None, None)
             assert p.is_complement(d.restrict(8))
 
 
@@ -208,7 +212,7 @@ class TestKeyed:
     def test_from_key_decides_the_kernel(self):
         d = DeciderEq.from_key(lambda x: x // 3, cost_note="thirds")
         assert d.decide(3, 5) and not d.decide(2, 3)
-        assert is_equivalence_sampled(d, 40)
+        assert axiom_counterexamples(d.decide, 40) == (None, None, None)
         assert d.restrict(7) == Partition.from_classes([{0, 1, 2}, {3, 4, 5}, {6}])
 
     def test_builtins_decide_as_before(self):

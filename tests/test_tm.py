@@ -26,7 +26,6 @@ from equlat.tm import (
     halt_step,
     halting_probe,
     init_config,
-    load_machine,
     nonhalt_eq,
     nonhalt_family_meet,
     pack_point,
@@ -126,10 +125,8 @@ class TestZoo:
         assert len(halting) >= 3
         assert len(looping) >= 3
 
-    def test_load_machine_by_name_and_error(self):
-        assert load_machine("increment").name == "increment"
-        with pytest.raises(MachineError, match="unknown machine"):
-            load_machine("no-such-machine")
+    def test_zoo_machines_carry_their_names(self):
+        assert all(m.name == name for name, m in zoo().items())
 
 
 class TestStep:
@@ -660,7 +657,7 @@ class TestRandomMachines:
 
 
 def _long_halt():
-    return load_machine(str(LONG_HALT))
+    return tm_from_text(LONG_HALT.read_text(), name=str(LONG_HALT))
 
 
 def _fresh(m):
