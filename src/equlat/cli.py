@@ -376,10 +376,10 @@ def cmd_family(args) -> int:
 
 def demo_join_undecidable(args) -> int:
     _check_limit("step bound", args.bound, MAX_PROBE_BOUND)
+    machine = _load_machine(args.machine)
     print("bounded shadow of an undecidable join:")
     print("the even-clock and odd-clock step closures are cheap to decide,")
     print("but chaining them answers bounded halting.")
-    machine = _load_machine(args.machine)
     result = tmlab.halting_probe(machine, args.input, args.bound)
     direct = tmlab.halt_step(machine, args.input, args.bound)
     if isinstance(result, tmlab.HaltsInSteps):

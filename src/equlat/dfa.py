@@ -251,6 +251,57 @@ def dfa_to_text(d: Dfa) -> str:
 
 def dfa_from_text(text: str) -> Dfa:
     """Parse the DFA text format, verifying the transition table is total."""
+    return _read_written(text) or _read_lines(text)
+
+
+def _read_written(text: str) -> Dfa | None:
+    """The automaton of a text laid out exactly as dfa_to_text writes it, read
+    in whole-text passes; None for any other text, which _read_lines reads."""
+    try:
+        states, start, accept, body = text.split("\n", 3)
+    except ValueError:  # fewer than four lines
+        return None
+    # The state count must match the transition lines before anything of
+    # that size is built, and each of those lines starts with "trans: ".
+    n, extra = divmod(body.count("\n"), 3)
+    if (
+        extra
+        or not body.endswith("\n")
+        or states != f"states: {n}"
+        or text.count("\ntrans: ") != 3 * n
+        or not start.startswith("start: ")
+        or not accept.startswith("accept: ")
+    ):
+        return None
+    # A number is read by looking up its canonical numeral, so "007", "-0",
+    # "+1" and any state out of range are not found.
+    names = list(map(str, range(n)))
+    number = dict(zip(names, range(n)))
+    start = number.get(start[7:])
+    accepting = list(map(number.get, accept[8:].split(" "))) if accept != "accept: " else []
+    if start is None or None in accepting or accepting != sorted(set(accepting)):
+        return None
+    # Every line break in the body is followed by "trans: " (counted above),
+    # and no other field may read "trans:", so with the breaks read as spaces
+    # line 3s + i is still four fields: "trans:", s, the i-th symbol, target.
+    body = body.replace("\n", " ")
+    fields = body.split(" ")
+    del body
+    if (
+        len(fields) != 12 * n + 1
+        or fields[1::4] != list(chain.from_iterable(zip(names, names, names)))
+        or fields[2::4] != list(ALPHABET) * n
+    ):
+        return None
+    targets = list(map(number.get, fields[3::4]))
+    del fields
+    if None in targets:
+        return None
+    return Dfa._mk(tuple(zip(*[iter(targets)] * 3)), start, frozenset(accepting))
+
+
+def _read_lines(text: str) -> Dfa:
+    """Any layout, line by line; the source of every parse error."""
     states = start = None
     accepting: list[int] = []
     rules: dict[int, int] = {}  # 3 * state + symbol index -> target

@@ -395,6 +395,7 @@ class TestTmCommands:
         name = name.removeprefix("approx_even(").removesuffix(")")
         zoo_names = ", ".join(sorted(tmlab.zoo()))
         assert code == 2
+        assert out == ""
         assert err == f"error: unknown machine {name!r}; zoo has: {zoo_names}\n"
 
     def test_machine_path_is_a_directory(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
+from equlat import dfa as dfa_module
 from equlat.dfa import (
     Dfa,
     Nfa,
@@ -470,6 +471,53 @@ def _mutate(rng, text, n):
     return "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
 
 
+def _written_inputs():
+    """Every corpus relation, folded singleton meets and the three controls."""
+    from equlat import automatic as am
+
+    out = [rel.dfa for rel in am.corpus().values()]
+    acc = am.singleton_family(0)
+    for i in (3, 5, 8, 13, 21):
+        acc = acc.meet(am.singleton_family(i))
+        out.append(acc.dfa)
+    return out + [am.first_bit_differs_dfa(), am.shorter_than_dfa(), am.shared_feature_dfa()]
+
+
+def _layout_variants(text):
+    """Other layouts of ``text``, and breaks of it, that only the line loop reads."""
+    lines = text.splitlines()
+    body = "\n".join(lines[3:]) + "\n"
+    accept = lines[2]
+    first, second, last = lines[3], lines[4], lines[-1]
+    variants = {
+        "crlf": text.replace("\n", "\r\n"),
+        "tab": text.replace("trans: ", "trans:\t", 1),
+        "double space": text.replace(first, first.replace(" ", "  "), 1),
+        "padded headers": "".join(f"  {line} \n" for line in lines[:3]) + body,
+        "no final newline": text[:-1],
+        "a word after the final newline": text + "x",
+        "headers reordered": "\n".join([lines[1], lines[0]] + lines[2:]) + "\n",
+        "transitions reordered": text.replace(f"{first}\n{second}", f"{second}\n{first}", 1),
+        "blank lines": text.replace("\n", "\n\n", 3) + "\n",
+        "007 source": text.replace("trans: 0 ", "trans: 007 ", 1),
+        "-0 source": text.replace("trans: 0 ", "trans: -0 ", 1),
+        "007 target": text[: -len(last) - 1] + last.replace(" B ", " B 00") + "\n",
+        "4,301-digit target": text[: -len(last) - 1] + last.rpartition(" ")[0] + " " + "1" * 4301 + "\n",
+        "start: misspelt": text.replace("start: ", "strat: ", 1),
+        "states: 0": "states: 0" + text[len(lines[0]):],
+        "states: 0 and no transitions": "states: 0\nstart: 0\naccept: \n",
+        "missing target": text.replace(first, first.rpartition(" ")[0], 1),
+        "line break moved into a line": text.replace(f"{first}\ntrans: ", f"{first} trans:\n", 1),
+        "line break moved into the next line": text.replace(f"{first}\ntrans: 0 ", f"{first[:-2]}\n{first[-1]} trans: 0 ", 1),
+        "accept without its space": text.replace("accept: ", "accept:", 1),
+        "accepting states reversed": text.replace(accept, "accept: " + " ".join(accept.split()[:0:-1]), 1),
+    }
+    for ch in "\x1c\x85\u2028":
+        variants[f"U+{ord(ch):04X} inside accept:"] = text.replace(accept, accept + ch + "0", 1)
+        variants[f"U+{ord(ch):04X} ending accept:"] = text.replace(accept + "\n", accept + ch, 1)
+    return variants
+
+
 def _parse_outcome(parse, text):
     try:
         return "ok", parse(text)
@@ -493,9 +541,28 @@ class TestParserMatchesOldParser:
         assert {"ok"} | kinds <= outcomes
 
     def test_unmutated_round_trip(self):
-        for d in _kernel_inputs():
+        for d in _kernel_inputs() + _written_inputs():
             text = dfa_to_text(d)
             assert _fields(dfa_from_text(text)) == _fields(d) == _old_dfa_from_text(text)
+
+    def test_whole_text_read_is_taken(self, monkeypatch):
+        # A read that always declined would pass every other test here.
+        def line_loop(text):
+            raise AssertionError("the line loop was reached")
+
+        monkeypatch.setattr(dfa_module, "_read_lines", line_loop)
+        for d in _written_inputs():
+            assert _fields(dfa_from_text(dfa_to_text(d))) == _fields(d)
+
+    def test_other_layouts_reach_the_line_loop(self):
+        outcomes = set()
+        for d in _written_inputs():
+            for name, text in _layout_variants(dfa_to_text(d)).items():
+                assert dfa_module._read_written(text) is None, name
+                new = _parse_outcome(lambda t: _fields(dfa_from_text(t)), text)
+                assert new == _parse_outcome(_old_dfa_from_text, text), name
+                outcomes.add(new[0])
+        assert outcomes == {"ok", "error"}
 
     @pytest.mark.parametrize("field", ["+1", "1_0", "٣", "١", "+1_2"])
     def test_numbers_are_ascii_decimal_numerals(self, field):
