@@ -2,7 +2,8 @@
 verify their own claims, and the verification suites.
 
 Exit status is 0 when the operation succeeded (and, for checks/demos/verify,
-when every check passed); 1 when a check failed; 2 for unusable input.
+when every check passed); 1 when a check failed; 2 for unusable input, raised
+before anything is printed and reported by ``main`` as ``error: ...``.
 Every number argument is an ASCII decimal numeral (see ``numeral``).
 """
 from __future__ import annotations
@@ -29,6 +30,14 @@ def _read(path: str) -> str:
     return data.decode("utf-8")
 
 
+def _operands(given: list[str], command: str, *names: str) -> list[str | None]:
+    """The operands of ``equlat COMMAND``, one per name; a bracketed name may
+    be left out and reads as None.  Any other count is a usage error."""
+    if not sum(not name.startswith("[") for name in names) <= len(given) <= len(names):
+        raise ValueError(" ".join(("usage: equlat", command, *names)))
+    return [*given, *[None] * (len(names) - len(given))]
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -36,10 +45,6 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
-
-
-def _load_partition(path: str) -> Partition:
-    return Partition.from_text(_read(path))
 
 
 def _load_dfa(path: str) -> Dfa:
@@ -69,21 +74,18 @@ def _load_machine(spec: str) -> tmlab.TmSpec:
 # -- partition group ---------------------------------------------------------
 
 def cmd_partition(args) -> int:
-    binary = args.op in ("meet", "join", "leq")
-    if len(args.inputs) != (2 if binary else 1):
-        operands = "LEFT RIGHT" if binary else "FILE"
-        print(f"usage: equlat partition {args.op} {operands}", file=sys.stderr)
-        return 2
-    if binary:
-        e = _load_partition(args.inputs[0])
-        f = _load_partition(args.inputs[1])
+    command = f"partition {args.op}"
+    if args.op in ("meet", "join", "leq"):
+        paths = _operands(args.operands, command, "LEFT", "RIGHT")
+        e, f = (Partition.from_text(_read(path)) for path in paths)
         if args.op == "leq":
             print("true" if e.leq(f) else "false")
             return 0
         result = e.meet(f) if args.op == "meet" else e.join(f)
         _emit(result.to_text(), args.out)
         return 0
-    e = _load_partition(args.inputs[0])
+    (path,) = _operands(args.operands, command, "FILE")
+    e = Partition.from_text(_read(path))
     if args.op == "complement":
         _emit(e.least_element_complement().to_text(), args.out)
         return 0
@@ -98,53 +100,46 @@ def cmd_partition(args) -> int:
 
 def cmd_automatic(args) -> int:
     op = args.op
+    command = f"automatic {op}"
     if op == "builtin":
+        (name,) = _operands(args.operands, command, "[NAME]")
         names = sorted(am.corpus())
-        if not args.inputs:
+        if name is None:
             print("\n".join(names))
             return 0
-        name = args.inputs[0]
         if name not in am.corpus():
-            print(f"unknown builtin {name!r}; have: {', '.join(names)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown builtin {name!r}; have: {', '.join(names)}")
         _emit(dfa_to_text(am.corpus()[name].dfa), args.out)
         return 0
-    if not args.inputs:
-        print("a DFA file is required", file=sys.stderr)
-        return 2
-    if op == "check":
-        rows = am.admission_checks(_load_dfa(args.inputs[0]))
-        for name, passed in rows:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}")
-        return 0 if all(p for _, p in rows) else 1
     if op == "decide":
-        if len(args.inputs) != 3:
-            print("usage: equlat automatic decide DFA M N", file=sys.stderr)
-            return 2
-        rel = _load_automatic(args.inputs[0])
-        print("true" if rel.decide(numeral(args.inputs[1]), numeral(args.inputs[2])) else "false")
-        return 0
-    if op == "reps":
-        rel = _load_automatic(args.inputs[0])
-        print(" ".join(str(r) for r in rel.representatives()))
-        return 0
-    if op == "minimize":
-        _emit(dfa_to_text(am.minimize(_load_dfa(args.inputs[0]))), args.out)
+        path, m, n = _operands(args.operands, command, "DFA", "M", "N")
+        rel = _load_automatic(path)
+        print("true" if rel.decide(numeral(m), numeral(n)) else "false")
         return 0
     if op in ("meet", "join"):
-        if len(args.inputs) != 2:
-            print(f"usage: equlat automatic {op} LEFT RIGHT", file=sys.stderr)
-            return 2
+        paths = _operands(args.operands, command, "LEFT", "RIGHT")
         # Both files pass their limits before either is admitted.
-        a, b = map(am.AutomaticEq.from_dfa, [_load_dfa(path) for path in args.inputs])
+        a, b = map(am.AutomaticEq.from_dfa, [_load_dfa(path) for path in paths])
         result = a.meet(b) if op == "meet" else a.join(b)
         _emit(dfa_to_text(result.dfa), args.out)
         return 0
+    (path,) = _operands(args.operands, command, "DFA")
+    if op == "check":
+        rows = am.admission_checks(_load_dfa(path))
+        for name, passed in rows:
+            print(f"[{'PASS' if passed else 'FAIL'}] {name}")
+        return 0 if all(p for _, p in rows) else 1
+    if op == "reps":
+        rel = _load_automatic(path)
+        print(" ".join(str(r) for r in rel.representatives()))
+        return 0
+    if op == "minimize":
+        _emit(dfa_to_text(am.minimize(_load_dfa(path))), args.out)
+        return 0
     if op == "coarsen":
-        if not args.inputs or not args.blocks:
-            print("usage: equlat automatic coarsen DFA --blocks '0 1; 2'", file=sys.stderr)
-            return 2
-        rel = _load_automatic(args.inputs[0])
+        if not args.blocks:
+            raise ValueError("usage: equlat automatic coarsen DFA --blocks '0 1; 2'")
+        rel = _load_automatic(path)
         blocks = _parse_blocks(args.blocks)
         _emit(dfa_to_text(rel.coarsen(blocks).dfa), args.out)
         return 0
@@ -173,19 +168,26 @@ decider expressions:
   complement(E)              least-element complement of E
   approx_even(MACHINE)       even-clock step closure for a zoo machine
   approx_odd(MACHINE)        odd-clock step closure for a zoo machine
-  nonhalt(N)                 machines still running after N steps grouped
+  nonhalt(N)                 machines still running after N steps grouped;
+                             N is an ASCII decimal numeral
 """
 
 
 def parse_decider_expr(text: str) -> dc.DeciderEq:
+    return _parse_expr(text)[1]
+
+
+def _parse_expr(text: str) -> tuple[ast.expr, dc.DeciderEq]:
+    """The syntax tree of a decider expression and the decider it builds."""
+    source = text.strip()
     try:
-        tree = ast.parse(text.strip(), mode="eval").body
+        tree = ast.parse(source, mode="eval").body
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression: {exc.msg}") from None
-    return _build_expr(tree)
+    return tree, _build_expr(tree, source)
 
 
-def _build_expr(node: ast.expr) -> dc.DeciderEq:
+def _build_expr(node: ast.expr, source: str) -> dc.DeciderEq:
     if isinstance(node, ast.Name):
         simple = {
             "bottom": dc.bottom_decider,
@@ -200,9 +202,9 @@ def _build_expr(node: ast.expr) -> dc.DeciderEq:
     name = node.func.id
     args = node.args
     if name == "meet" and len(args) == 2:
-        return dc.meet_combinator(_build_expr(args[0]), _build_expr(args[1]))
+        return dc.meet_combinator(_build_expr(args[0], source), _build_expr(args[1], source))
     if name == "complement" and len(args) == 1:
-        return dc.least_element_complement(_build_expr(args[0]))
+        return dc.least_element_complement(_build_expr(args[0], source))
     if name == "singular" and len(args) == 1 and isinstance(args[0], ast.Name):
         pred = cs.BUILTIN_PREDICATES.get(args[0].id)
         if pred is None:
@@ -212,9 +214,9 @@ def _build_expr(node: ast.expr) -> dc.DeciderEq:
         machine = _load_machine(args[0].id)
         return tmlab.approx_even(machine) if name == "approx_even" else tmlab.approx_odd(machine)
     if name == "nonhalt" and len(args) == 1 and isinstance(args[0], ast.Constant):
-        n = args[0].value
-        if type(n) is not int:  # not a float, string or bool literal
-            raise ValueError(f"nonhalt takes a whole number of steps, got {n!r}")
+        if type(args[0].value) is not int:  # not a float, string or bool literal
+            raise ValueError(f"nonhalt takes a whole number of steps, got {args[0].value!r}")
+        n = numeral(ast.get_source_segment(source, args[0]))  # not 0x10, 0b11 or 1_0
         _check_limit("nonhalt step bound", n, MAX_RUN_BOUND)
         return tmlab.nonhalt_eq(n)
     raise ValueError(f"cannot interpret {ast.dump(node)}")
@@ -265,22 +267,19 @@ def _check_limit(what: str, value: int, limit: int) -> None:
 
 
 def cmd_decider(args) -> int:
-    rel = parse_decider_expr(args.expr)
+    names = {"decide": ("M", "N"), "restrict": ("N",), "check": ()}[args.op]
+    expr, *values = _operands(args.operands, f"decider {args.op}", "EXPR", *names)
+    values = [numeral(v) for v in values]
+    tree, rel = _parse_expr(expr)
     if args.op == "decide":
-        if len(args.values) != 2:
-            print("usage: equlat decider decide EXPR M N", file=sys.stderr)
-            return 2
-        calls = ast.walk(ast.parse(args.expr.strip(), mode="eval"))
+        calls = ast.walk(tree)
         if any(isinstance(node, ast.Call) and node.func.id == "complement" for node in calls):
-            _check_limit("value", max(args.values), MAX_COMPLEMENT_VALUE)
-        print("true" if rel.decide(args.values[0], args.values[1]) else "false")
+            _check_limit("value", max(values), MAX_COMPLEMENT_VALUE)
+        print("true" if rel.decide(*values) else "false")
         return 0
     if args.op == "restrict":
-        if len(args.values) != 1:
-            print("usage: equlat decider restrict EXPR N", file=sys.stderr)
-            return 2
-        _check_limit("restrict size", args.values[0], MAX_RESTRICT)
-        _emit(rel.restrict(args.values[0]).to_text(), args.out)
+        _check_limit("restrict size", values[0], MAX_RESTRICT)
+        _emit(rel.restrict(values[0]).to_text(), args.out)
         return 0
     if args.op == "check":
         _check_limit("check bound", args.bound, MAX_CHECK_BOUND)
@@ -297,18 +296,18 @@ def cmd_decider(args) -> int:
 
 def cmd_tm(args) -> int:
     if args.op == "zoo":
+        _operands(args.operands, "tm zoo")
         for name, m in sorted(tmlab.zoo().items()):
             hs = tmlab.halt_step(m, "", 1000)
             verdict = f"halts at step {hs}" if hs is not None else "still running at 1000"
             print(f"{name:12s} {len(m.states)} states; empty input: {verdict}")
         return 0
-    if not args.machine:
-        print("a machine name or file is required", file=sys.stderr)
-        return 2
+    spec, tape = _operands(args.operands, f"tm {args.op}", "MACHINE", "[INPUT]")
+    tape = tape or ""
     _check_limit("step bound", args.bound, MAX_RUN_BOUND if args.op == "run" else MAX_PROBE_BOUND)
-    machine = _load_machine(args.machine)
+    machine = _load_machine(spec)
     if args.op == "run":
-        steps, final = tmlab.simulate(machine, args.input, args.bound)
+        steps, final = tmlab.simulate(machine, tape, args.bound)
         halted = final.state in machine.halting
         print(f"steps: {steps}{' (halted)' if halted else ' (still running)'}")
         print(f"state: {final.state}")
@@ -316,8 +315,8 @@ def cmd_tm(args) -> int:
         print(f"head:  {final.head}")
         return 0
     if args.op == "probe":
-        result = tmlab.halting_probe(machine, args.input, args.bound)
-        direct = tmlab.halt_step(machine, args.input, args.bound)
+        result = tmlab.halting_probe(machine, tape, args.bound)
+        direct = tmlab.halt_step(machine, tape, args.bound)
         if isinstance(result, tmlab.HaltsInSteps):
             print(f"halts in {result.steps} steps")
             print(f"chain length {len(result.witness.chain)} (clock/configuration points to the sink)")
@@ -346,14 +345,13 @@ def _resolve_predicate(spec: str):
     )
 
 
-def _family_spec(args) -> cs.SingularFamilySpec | None:
-    """The spec of ``--pred`` and ``--cuts``; None if ``--k`` is out of range."""
+def _family_spec(args) -> cs.SingularFamilySpec:
+    """The spec of ``--pred`` and ``--cuts``, once ``--k`` is checked against it."""
     pred, pname = _resolve_predicate(args.pred)
     cuts = tuple(numeral(tok.strip()) for tok in args.cuts.split(","))
     spec = cs.SingularFamilySpec(pred, cuts, name=pname)
     if args.k >= len(cuts):
-        print(f"--k must be below the number of cuts ({len(cuts)})", file=sys.stderr)
-        return None
+        raise ValueError(f"--k must be below the number of cuts ({len(cuts)})")
     if args.k >= 0:  # a negative k is refused by the meet itself
         _check_limit("sum of the cuts up to k", sum(cuts[: args.k + 1]), MAX_FAMILY_CUTS)
     return spec
@@ -362,8 +360,6 @@ def _family_spec(args) -> cs.SingularFamilySpec | None:
 def cmd_family(args) -> int:
     _check_limit("restrict size", args.restrict or 0, MAX_RESTRICT)
     spec = _family_spec(args)
-    if spec is None:
-        return 2
     result = cs.truncated_family_meet(spec, args.k)
     if args.restrict is not None:
         _emit(result.restrict(args.restrict).to_text(), args.out)
@@ -377,11 +373,11 @@ def cmd_family(args) -> int:
 def demo_join_undecidable(args) -> int:
     _check_limit("step bound", args.bound, MAX_PROBE_BOUND)
     machine = _load_machine(args.machine)
+    result = tmlab.halting_probe(machine, args.input, args.bound)
+    direct = tmlab.halt_step(machine, args.input, args.bound)
     print("bounded shadow of an undecidable join:")
     print("the even-clock and odd-clock step closures are cheap to decide,")
     print("but chaining them answers bounded halting.")
-    result = tmlab.halting_probe(machine, args.input, args.bound)
-    direct = tmlab.halt_step(machine, args.input, args.bound)
     if isinstance(result, tmlab.HaltsInSteps):
         print(f"machine {args.machine!r} on {args.input!r}: halts in {result.steps} steps")
         print(f"witness chain has {len(result.witness.chain)} points; "
@@ -396,8 +392,8 @@ def demo_join_undecidable(args) -> int:
 
 def demo_meet_growth(args) -> int:
     _check_limit("k", args.k, MAX_MEET_GROWTH_K)
-    print("meets of two-class relations need ever more classes:")
     counts = am.family_meet_demo(args.k)
+    print("meets of two-class relations need ever more classes:")
     print("class counts after each meet:", " ".join(str(c) for c in counts))
     ok = counts == list(range(2, args.k + 2))
     print(f"[{'PASS' if ok else 'FAIL'}] counts are 2..{args.k + 1}, growing without bound")
@@ -406,8 +402,6 @@ def demo_meet_growth(args) -> int:
 
 def demo_family_meet(args) -> int:
     spec = _family_spec(args)
-    if spec is None:
-        return 2
     result = cs.truncated_family_meet(spec, args.k)
     print(f"meet of the singular family for predicate {spec.name!r}, cuts {spec.cuts}, "
           f"up to k={args.k}:")
@@ -473,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="finite partition lattice calculator")
     p.add_argument("op", choices=["meet", "join", "leq", "complement", "atoms"])
-    p.add_argument("inputs", nargs="+", help="partition files")
+    p.add_argument("operands", nargs="*", help="partition files")
     p.add_argument("--out", help="write the result here")
     p.set_defaults(fn=cmd_partition)
 
@@ -482,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         "op",
         choices=["decide", "meet", "join", "coarsen", "check", "reps", "minimize", "builtin"],
     )
-    p.add_argument("inputs", nargs="*", help="DFA files (decide also takes M N)")
+    p.add_argument("operands", nargs="*", help="DFA files (decide also takes M N)")
     p.add_argument("--blocks", help="coarsen grouping, e.g. '0 1; 2'")
     p.add_argument("--out", help="write the result here")
     p.set_defaults(fn=cmd_automatic)
@@ -494,19 +488,16 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("op", choices=["decide", "restrict", "check"])
-    p.add_argument("expr", help="decider expression, e.g. 'meet(parity, singular(even))'")
-    p.add_argument("values", nargs="*", type=numeral, help="M N for decide; N for restrict")
+    p.add_argument("operands", nargs="*", help="EXPR, then M N for decide or N for restrict")
     p.add_argument("--bound", type=numeral, default=32, help="sample bound for check")
     p.add_argument("--out", help="write the result here")
     p.set_defaults(fn=cmd_decider)
 
     p = sub.add_parser("tm", help="machine interpreter and bounded halting probe")
     p.add_argument("op", choices=["probe", "run", "zoo"])
-    p.add_argument("machine", nargs="?", help="zoo name or machine file")
-    p.add_argument("input", nargs="?", default="", help="initial tape contents")
+    p.add_argument("operands", nargs="*", help="MACHINE (zoo name or file), then INPUT (tape)")
     p.add_argument("--bound", type=numeral, default=100, help="step bound")
     p.set_defaults(fn=cmd_tm)
-    # probe/run need a machine; checked in cmd_tm since zoo does not
 
     p = sub.add_parser("family", help="truncated singular-family meets")
     p.add_argument("op", choices=["meet"])
@@ -551,7 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    # argparse ends an operand list at the first option; later operands come
+    # back in rest, and anything else there is refused as parse_args would.
+    if rest:
+        if "operands" not in args or any(a.startswith("-") and not a[1:].isdigit() for a in rest):
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        args.operands += rest
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -145,15 +145,14 @@ def from_partition(part: Partition) -> DeciderEq:
 
 
 def meet_combinator(d1: DeciderEq, d2: DeciderEq) -> DeciderEq:
-    """Decides the conjunction; always again an equivalence, keyed by the
-    pair of keys when both sides are keyed."""
+    """Decides the conjunction; always again an equivalence, so the sampled
+    registration check is skipped, and keyed by the pair of keys when both
+    sides are keyed."""
     cost_note = f"({d1.cost_note}) && ({d2.cost_note})"
     if d1.key is not None and d2.key is not None:
         k1, k2 = d1.key, d2.key
         return DeciderEq.from_key(lambda x: (k1(x), k2(x)), cost_note=cost_note)
-    return DeciderEq(
-        lambda m, n: d1._fn(m, n) and d2._fn(m, n), cost_note=cost_note
-    )
+    return DeciderEq(lambda m, n: d1._fn(m, n) and d2._fn(m, n), cost_note, check_bound=0)
 
 
 def least_element_complement(d: DeciderEq) -> DeciderEq:

@@ -571,13 +571,13 @@ def halting_probe(
     result = bounded_join(even, odd, 0, size - 1, size, chain_bound)
     if isinstance(result, RelatedWitness):
         # Independent of the incremental codes: the chain must start at the
-        # encoded initial configuration and hold link by link on points the
-        # fresh table decodes itself.
+        # encoded initial configuration, lie below the universe bound and
+        # hold link by link on points the fresh table decodes itself.
         window = [pack_point(t, code) for t, code in enumerate(codes)] + [SINK]
         result = RelatedWitness(tuple(window[t] for t in result.chain), result.links)
         fresh = _PointInfo(m)
         if result.chain[0] != pack_point(0, encode_config(m, c)) or not verify_chain(
-            _approx(m, 0, fresh), _approx(m, 1, fresh), result, window, chain_bound
+            _approx(m, 0, fresh), _approx(m, 1, fresh), result, universe_bound, chain_bound
         ):
             raise AssertionError("search returned an unverifiable chain")
         return HaltsInSteps(len(result.chain) - 2, result, universe_bound, chain_bound)

@@ -297,6 +297,13 @@ class TestDeciderCommands:
         assert code == 2 and out == ""
         assert err == f"error: nonhalt takes a whole number of steps, got {literal}\n"
 
+    @pytest.mark.parametrize("literal", ["0x10", "0b11", "0o7", "1_0"])
+    def test_nonhalt_takes_decimal_numerals_only(self, capsys, literal):
+        code, out, err = run(capsys, "decider", "check", f"nonhalt({literal})", "--bound", "4")
+        assert (code, out, err) == (2, "", f"error: not a decimal numeral: {literal!r}\n")
+        code, out, _ = run(capsys, "decider", "check", "nonhalt(10)", "--bound", "4")
+        assert code == 0 and out.endswith("cost note: bounded simulation, fixed 10 steps\n")
+
     def test_nonhalt_step_bound_limit(self, capsys, simulate_bounds):
         spin, builder = (str(tmlab.encode_tm(tmlab.zoo()[name])) for name in ("spin", "builder"))
         expr = f"nonhalt({MAX_RUN_BOUND})"
@@ -460,6 +467,13 @@ class TestFamilyAndDemos:
     @pytest.mark.parametrize("argv", [("--set", "1"), ("--set", "1,9"), ("--set", "1,3", "--n", "3")])
     def test_demo_atoms_validates_before_printing(self, capsys, argv):
         code, out, err = run(capsys, "demo", "atoms", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv", [("automatic-meet-growth", "--k", "0"), ("join-undecidable", "--bound", "-1")]
+    )
+    def test_demo_validates_before_printing(self, capsys, argv):
+        code, out, err = run(capsys, "demo", *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_demo_atoms(self, capsys):
@@ -650,7 +664,7 @@ class TestExitContract:
     def test_family_index_beyond_the_cuts(self, capsys, group):
         code, out, err = run(capsys, *group, "--pred", "even", "--cuts", "2,4,8", "--k", "3")
         assert code == 2
-        assert err == "--k must be below the number of cuts (3)\n"
+        assert err == "error: --k must be below the number of cuts (3)\n"
         assert out == ""
 
     def test_nonhalt_meet_level_limit(self, capsys, simulate_bounds):
@@ -748,6 +762,67 @@ class TestExitContract:
         assert code == 2
         assert err == "error: k must be at least 1\n"
         assert out == ""
+
+
+# Each operation that takes operands, with usable ones and its usage line.
+_OPERATIONS = [
+    ("partition meet", ("{part}", "{part}"), "LEFT RIGHT"),
+    ("partition join", ("{part}", "{part}"), "LEFT RIGHT"),
+    ("partition leq", ("{part}", "{part}"), "LEFT RIGHT"),
+    ("partition complement", ("{part}",), "FILE"),
+    ("partition atoms", ("{part}",), "FILE"),
+    ("automatic decide", ("{dfa}", "1", "4"), "DFA M N"),
+    ("automatic meet", ("{dfa}", "{dfa}"), "LEFT RIGHT"),
+    ("automatic join", ("{dfa}", "{dfa}"), "LEFT RIGHT"),
+    ("automatic coarsen", ("{dfa}",), "DFA"),
+    ("automatic check", ("{dfa}",), "DFA"),
+    ("automatic reps", ("{dfa}",), "DFA"),
+    ("automatic minimize", ("{dfa}",), "DFA"),
+    ("automatic builtin", ("mod3",), "[NAME]"),
+    ("decider decide", ("parity", "1", "3"), "EXPR M N"),
+    ("decider restrict", ("parity", "4"), "EXPR N"),
+    ("decider check", ("parity",), "EXPR"),
+    ("tm run", ("increment", "11"), "MACHINE [INPUT]"),
+    ("tm probe", ("increment", "11"), "MACHINE [INPUT]"),
+    ("tm zoo", (), ""),
+]
+
+
+@pytest.mark.parametrize(
+    "command, operands, names", _OPERATIONS, ids=[c for c, _, _ in _OPERATIONS]
+)
+def test_operations_take_exactly_their_operands(capsys, parts, tmp_path, command, operands, names):
+    dfa = tmp_path / "mod3.dfa"
+    dfa.write_text(dfa_to_text(corpus()["mod3"].dfa))
+    given = [*command.split(), *(a.format(part=parts[0], dfa=dfa) for a in operands)]
+    options = ["--blocks", "0 1; 2"] if command == "automatic coarsen" else []
+    needs = 2 + sum(not name.startswith("[") for name in names.split())
+    assert run(capsys, *given, *options)[0] == 0
+    # One operand more, and one fewer than the operation needs, if it needs any.
+    for wrong in [given + given[-1:]] + ([given[: needs - 1]] if needs > 2 else []):
+        code, out, err = run(capsys, *wrong, *options)
+        usage = f"usage: equlat {command} {names}".rstrip()
+        assert (code, out, err) == (2, "", f"error: {usage}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partition", "meet", "{part}", "{part}", "--out", "{out}"),
+        ("automatic", "meet", "{dfa}", "{dfa}", "--out", "{out}"),
+        ("decider", "decide", "parity", "1", "3", "--bound", "4"),
+        ("tm", "run", "increment", "11", "--bound", "5"),
+    ],
+    ids=" ".join,
+)
+def test_options_before_and_between_operands(capsys, parts, tmp_path, argv):
+    dfa = tmp_path / "mod3.dfa"
+    dfa.write_text(dfa_to_text(corpus()["mod3"].dfa))
+    *words, option, value = (a.format(part=parts[0], dfa=dfa, out=tmp_path / "o") for a in argv)
+    expected = run(capsys, *words, option, value)
+    assert expected[0] == 0
+    for at in range(2, len(words)):
+        assert run(capsys, *words[:at], option, value, *words[at:]) == expected
 
 
 _NUMBER_ARGUMENTS = [

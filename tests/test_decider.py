@@ -116,6 +116,19 @@ class TestMeetCombinator:
             d = meet_combinator(from_partition(p1), from_partition(p2))
             assert d.restrict(12) == p1.meet(p2)
 
+    def test_black_box_meet_runs_no_registration_check(self):
+        calls = []
+
+        def counting(d):
+            return DeciderEq(lambda m, n: calls.append(d) or d.decide(m, n))
+
+        a = counting(parity_decider())
+        b = counting(singular_from_predicate(BUILTIN_PREDICATES["prime"]))
+        calls.clear()
+        meet = meet_combinator(a, b)
+        assert calls == []
+        assert meet.restrict(40) == a.restrict(40).meet(b.restrict(40))
+
 
 class TestLeastElementComplement:
     def test_of_top_is_bottom(self):

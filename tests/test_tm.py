@@ -825,6 +825,19 @@ class TestProbeReCheck:
             monkeypatch.undo()
 
 
+    @pytest.mark.parametrize("name, input_str, bound", [("increment", "11", 10), ("halt", "", 0)])
+    def test_chain_is_checked_against_the_universe_bound(self, monkeypatch, name, input_str, bound):
+        universes = []
+        real = tm.verify_chain
+
+        def spy(d1, d2, witness, universe, chain_bound):
+            universes.append(universe)
+            return real(d1, d2, witness, universe, chain_bound)
+
+        monkeypatch.setattr(tm, "verify_chain", spy)
+        result = halting_probe(zoo()[name], input_str, bound)
+        assert isinstance(result, HaltsInSteps) and universes == [result.universe_bound]
+
     def test_chain_must_start_at_the_initial_configuration(self, monkeypatch):
         # ">0" under the head steps like the blank of the real start, so a
         # chain from this wrong start verifies link by link
