@@ -14,10 +14,10 @@ built on the automaton itself (no sampling): the relation is the union of
 K_r x L_r over the classes r.  One numeral BFS through the start and every
 class entry at once records which classes' members each class accepts; it
 finds no more state tuples than there are numeral states unless the DFA is
-no equivalence's, and then one pair BFS per class records the same.  One
-more BFS per overlapping pair of classes checks that their languages nest.
-The work is polynomial in the state count, and validation is a proof for
-the whole infinite relation.
+no equivalence's, and then one breadth-first pass over state pairs records
+the same.  One more BFS per overlapping pair of classes checks that their
+languages nest.  The work is polynomial in the state count, and validation
+is a proof for the whole infinite relation.
 
 An ``AutomaticEq`` is worked on as its *classifier* ``(delta, start,
 labels)``, a Moore machine over the digits: the state after a canonical
@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .dfa import (
@@ -39,6 +39,7 @@ from .dfa import (
     _Index,
     binary,
     minimize,
+    moore,
     pair_format_dfa,
     product,
     product_table,
@@ -61,12 +62,12 @@ _FORMAT = pair_format_dfa()
 def _format_product(d: Dfa) -> tuple[bool, Dfa]:
     """One product of d with the format automaton gives both the format
     verdict (no reachable pair accepts in d and rejects in the format
-    automaton) and, unminimized, the clean automaton: the same pairs with
-    "and" acceptance, which decides the same relation as d."""
+    automaton) and, unminimized, the clean automaton: the same pairs, in BFS
+    order from 0, with "and" acceptance, which decides the same relation as d."""
     delta, pairs = product_table(d, _FORMAT)
-    accepted = [(p in d.accepting, q in _FORMAT.accepting) for p, q in pairs]
-    clean = frozenset(i for i, both in enumerate(accepted) if both == (True, True))
-    return (True, False) not in accepted, Dfa._mk(delta, 0, clean)
+    ours, theirs = [list(map(f.accepting.__contains__, s)) for f, s in zip((d, _FORMAT), zip(*pairs))]
+    clean = frozenset(compress(range(len(pairs)), map(operator.and_, ours, theirs)))
+    return not any(map(operator.gt, ours, theirs)), Dfa._mk(delta, 0, clean)
 
 
 def _numerals(
@@ -124,8 +125,8 @@ class _ClassTable:
     in, and a minimal DFA has one state per language.  So that BFS finds
     no more tuples than there are numeral states.  Finding more proves the
     DFA is no equivalence's; the joint search could then grow as the
-    product of c + 1 copies, so one pair BFS from (start, r) per class
-    fills the table instead.
+    product of c + 1 copies, so one breadth-first pass over pairs of
+    states fills the table instead (``_pair_answers``).
     """
 
     def __init__(self, d: Dfa):
@@ -138,20 +139,44 @@ class _ClassTable:
 
     @cached_property
     def answers(self) -> list[list[int]]:
-        d, state_class, accepting = self.dfa, self.state_class, self.dfa.accepting
-        automata = [(d.delta, s) for s in (d.start, *self.entries)]
+        d, state_class = self.dfa, self.state_class
+        joint = _numerals(*[(d.delta, s) for s in (d.start, *self.entries)], limit=len(state_class))
+        if joint is None:
+            return self._pair_answers()
+        answer = [2 if s in d.accepting else 1 for s in range(d.state_count)]
         answers = [[0] * len(self.entries) for _ in self.entries]
-        joint = _numerals(*automata, limit=len(state_class))
-        if joint is not None:
-            for p, *qs in joint:
-                row = answers[state_class[p]]
-                for j, q in enumerate(qs):
-                    row[j] |= 2 if q in accepting else 1
-        else:
-            for j, entry in enumerate(automata[1:]):
-                for p, q in _numerals(automata[0], entry):
-                    answers[state_class[p]][j] |= 2 if q in accepting else 1
+        for p, *qs in joint:
+            row = answers[state_class[p]]
+            row[:] = map(operator.or_, row, map(answer.__getitem__, qs))
         return answers
+
+    def _pair_answers(self) -> list[list[int]]:
+        """The same table from one FIFO pass over pairs (p, q), the states a
+        numeral reaches from the start and from a class entry, each with a
+        bitset of the entries reaching it.  A queued pair carries only the
+        bits new to it, so each (pair, entry) is expanded once.  The numeral
+        "0" is not extended: its pairs are only read, as ``ends``."""
+        d, entries = self.dfa, self.entries
+        delta, n = d.delta, d.state_count
+        zero, one = delta[d.start][:2]
+        waiting: dict[int, int] = {}  # queued p * n + q -> its bits not yet expanded
+        for j, e in enumerate(entries):
+            waiting[one * n + delta[e][1]] = waiting.get(one * n + delta[e][1], 0) | 1 << j
+        reached, queue = dict(waiting), list(waiting)  # the queue grows as it is read
+        for key in queue:
+            bits, (p, q) = waiting.pop(key), divmod(key, n)
+            for to in (delta[p][0] * n + delta[q][0], delta[p][1] * n + delta[q][1]):
+                old = reached.get(to, 0)
+                if bits & ~old:
+                    reached[to] = old | bits
+                    if to not in waiting:
+                        queue.append(to)
+                    waiting[to] = waiting.get(to, 0) | bits & ~old
+        seen = [[0, 0] for _ in entries]  # class -> entries rejecting, accepting a member
+        ends = [(zero * n + delta[e][0], 1 << j) for j, e in enumerate(entries)]
+        for key, bits in chain(reached.items(), ends):
+            seen[self.state_class[key // n]][key % n in d.accepting] |= bits
+        return [[rej >> j & 1 | (acc >> j & 1) << 1 for j in range(len(seen))] for rej, acc in seen]
 
     def reflexive(self) -> bool:
         """Every u in K_r lies in L_r."""
@@ -161,11 +186,7 @@ class _ClassTable:
         """For u in K_i and v in K_j, "v in L_i" (u ~ v) must equal "u in
         L_j" (v ~ u): both answers are one value, the same value."""
         answers = self.answers
-        return all(
-            cell != 3 and cell == answers[j][i]
-            for i, row in enumerate(answers)
-            for j, cell in enumerate(row)
-        )
+        return all(3 not in row for row in answers) and answers == list(map(list, zip(*answers)))
 
     def transitive(self) -> bool:
         """If u ~ v for some u in K_j and v in K_i, every w with v ~ w
@@ -189,7 +210,9 @@ def _admission(d: Dfa) -> Iterator[tuple[str, bool, str, _ClassTable | None]]:
     format check fails."""
     well_formed, clean = _format_product(d)
     yield "format", well_formed, "accepts words outside 'numeral B numeral'", None
-    table = _ClassTable(minimize(clean))
+    accepted = list(map(clean.accepting.__contains__, range(clean.state_count)))
+    delta, final = moore(list(zip(*clean.delta)), accepted)
+    table = _ClassTable(Dfa._mk(delta, 0, frozenset(compress(range(len(final)), final))))
     yield "reflexivity", table.reflexive(), "some w B w is rejected", table
     yield "symmetry", table.symmetric(), "language differs from its swap", table
     yield "transitivity", table.transitive(), "class languages are not nested", table

@@ -140,20 +140,10 @@ def cmd_automatic(args) -> int:
         if not args.blocks:
             raise ValueError("usage: equlat automatic coarsen DFA --blocks '0 1; 2'")
         rel = _load_automatic(path)
-        blocks = _parse_blocks(args.blocks)
-        _emit(dfa_to_text(rel.coarsen(blocks).dfa), args.out)
+        blocks = [[numeral(tok) for tok in chunk.split()] for chunk in args.blocks.split(";")]
+        _emit(dfa_to_text(rel.coarsen([block for block in blocks if block]).dfa), args.out)
         return 0
     raise AssertionError(op)
-
-
-def _parse_blocks(text: str) -> list[list[int]]:
-    """Class grouping syntax: semicolon-separated blocks of class indices,
-    e.g. '0 1; 2'."""
-    blocks = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            blocks.append([numeral(tok) for tok in chunk.split()])
-    return blocks
 
 
 # -- decider group -----------------------------------------------------------
@@ -250,10 +240,10 @@ MAX_RESTRICT = 100_000
 # A partition, bitmask, DFA or machine file is read whole and parsed before
 # its content is checked against any other limit.
 MAX_FILE_BYTES = 1 << 20
-# Checking an automaton that is no equivalence may take one pair BFS per
-# class, which grows as the cube of the state count: 2.4-2.9 s at 247
-# states, 28 s at 497.  It also bounds `automatic meet` and `join`: 0.9-1.1 s
-# at the limit, most of it building the output pair DFA.
+# Checking an automaton that is no equivalence takes one pass over pairs of
+# states, each with a set of classes: 0.43-0.58 s on random files at the
+# limit, 2.1-2.3 s in process at 512.  It also bounds `automatic meet` (0.34
+# to 0.38 s, writing 29,183-32,544 states) and `join` (0.10-0.17 s).
 MAX_DFA_STATES = 256
 # The atoms demo joins one n-element partition per member of its set
 # (0.56 s, 47 MB at n = 100,000 with three members; the joins alone took
@@ -458,6 +448,10 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Number(str):
+    """A number option's text, read by ``main`` as operands are read."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equlat",
@@ -489,22 +483,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("op", choices=["decide", "restrict", "check"])
     p.add_argument("operands", nargs="*", help="EXPR, then M N for decide or N for restrict")
-    p.add_argument("--bound", type=numeral, default=32, help="sample bound for check")
+    p.add_argument("--bound", type=_Number, default="32", help="sample bound for check")
     p.add_argument("--out", help="write the result here")
     p.set_defaults(fn=cmd_decider)
 
     p = sub.add_parser("tm", help="machine interpreter and bounded halting probe")
     p.add_argument("op", choices=["probe", "run", "zoo"])
     p.add_argument("operands", nargs="*", help="MACHINE (zoo name or file), then INPUT (tape)")
-    p.add_argument("--bound", type=numeral, default=100, help="step bound")
+    p.add_argument("--bound", type=_Number, default="100", help="step bound")
     p.set_defaults(fn=cmd_tm)
 
     p = sub.add_parser("family", help="truncated singular-family meets")
     p.add_argument("op", choices=["meet"])
     p.add_argument("--pred", required=True, help="even|odd|prime|bitmask:FILE")
     p.add_argument("--cuts", required=True, help="comma-separated increasing cuts")
-    p.add_argument("--k", type=numeral, required=True, help="truncation index")
-    p.add_argument("--restrict", type=numeral, help="emit the restriction to {0..N-1}")
+    p.add_argument("--k", type=_Number, required=True, help="truncation index")
+    p.add_argument("--restrict", type=_Number, help="emit the restriction to {0..N-1}")
     p.add_argument("--out", help="write the result here")
     p.set_defaults(fn=cmd_family)
 
@@ -513,28 +507,28 @@ def build_parser() -> argparse.ArgumentParser:
     d = demo_sub.add_parser("join-undecidable")
     d.add_argument("--machine", default="increment")
     d.add_argument("--input", default="11")
-    d.add_argument("--bound", type=numeral, default=50)
+    d.add_argument("--bound", type=_Number, default="50")
     d.set_defaults(fn=demo_join_undecidable)
     d = demo_sub.add_parser("automatic-meet-growth")
-    d.add_argument("--k", type=numeral, default=8)
+    d.add_argument("--k", type=_Number, default="8")
     d.set_defaults(fn=demo_meet_growth)
     d = demo_sub.add_parser("family-meet")
     d.add_argument("--pred", default="even")
     d.add_argument("--cuts", default="2,4,8")
-    d.add_argument("--k", type=numeral, default=2)
+    d.add_argument("--k", type=_Number, default="2")
     d.set_defaults(fn=demo_family_meet)
     d = demo_sub.add_parser("nonhalt-meet")
-    d.add_argument("--k", type=numeral, default=10)
+    d.add_argument("--k", type=_Number, default="10")
     d.set_defaults(fn=demo_nonhalt_meet)
     d = demo_sub.add_parser("atoms")
     d.add_argument("--set", default="1,3,5")
-    d.add_argument("--n", type=numeral, default=8)
+    d.add_argument("--n", type=_Number, default="8")
     d.set_defaults(fn=demo_atoms)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=[*vf.SUITES, "all"])
     p.add_argument(
-        "--tm-bound", type=numeral, default=1000, help="step bound for the tm suite, also under all"
+        "--tm-bound", type=_Number, default="1000", help="step bound for the tm suite, also under all"
     )
     p.set_defaults(fn=cmd_verify)
     return parser
@@ -550,6 +544,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
         args.operands += rest
     try:
+        vars(args).update({k: numeral(v) for k, v in vars(args).items() if type(v) is _Number})
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, compress
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .partition import numeral
 
@@ -143,25 +143,29 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 def refine(delta, start: int, label: Callable[[int], Hashable]) -> tuple[tuple, list]:
     """Moore refinement of the states reachable from ``start``, rows of any
-    width: blocks start as labels, split on successors' blocks until stable,
-    and are numbered by first state in BFS order.  Returns (rows, labels)."""
+    width: renumbered in BFS order for ``moore``, which numbers the blocks by
+    first state.  Returns (rows, labels)."""
     index = _reach(delta, start)
-    order = index.order
-    columns = [list(map(index.__getitem__, col)) for col in zip(*map(delta.__getitem__, order))]
-    labels = list(map(label, order))
-    signatures, block = labels, None
-    while True:
-        distinct = dict.fromkeys(signatures)
-        number = dict(zip(distinct, range(len(distinct))))
-        new_block = list(map(number.__getitem__, signatures))
-        if new_block == block:
-            break
-        block = new_block
-        at = block.__getitem__
-        signatures = list(zip(block, *(map(at, col) for col in columns)))
-    # Stable: a signature is (own block, successors' blocks), its tail the row
-    # of its block.  Blocks ascend by first appearance, and so do the labels.
-    return tuple(sig[1:] for sig in number), list(dict(zip(block, labels)).values())
+    rows = map(delta.__getitem__, index.order)
+    return moore([list(map(index.__getitem__, c)) for c in zip(*rows)], list(map(label, index.order)))
+
+
+def moore(columns: Sequence[Sequence[int]], labels: Sequence[Hashable]) -> tuple[tuple, list]:
+    """Moore refinement of a table's columns, its states all reachable and
+    numbered in BFS order from 0: blocks start as labels and split on
+    successors' blocks, each round labelling a block by its first state (one
+    hash per state), until a round splits none.  Returns (rows, labels)."""
+    states, first, count = range(len(labels)), {}, 0
+    block = list(map(first.setdefault, labels, states))
+    while len(first) != count:  # a signature holds its own block: rounds only split
+        count, first = len(first), {}
+        signatures = zip(block, *(map(block.__getitem__, col) for col in columns))
+        block = list(map(first.setdefault, signatures, states))
+    # Stable: a signature is (own block, successors' blocks), each by first state.
+    number = dict(zip(first.values(), states))
+    _, *successors = zip(*first)
+    rows = tuple(zip(*(map(number.__getitem__, col) for col in successors)))
+    return rows, list(map(labels.__getitem__, first.values()))
 
 
 def minimize(d: Dfa) -> Dfa:

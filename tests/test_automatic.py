@@ -754,7 +754,7 @@ def _clean(d):
 def _answers(clean, joint):
     """The class table's answers, and whether the joint BFS filled them.
     With ``joint=False`` every bounded search reports an overflow, so the
-    per-class pair BFSs fill the table."""
+    pass over pairs of states fills the table."""
     import equlat.automatic as am
 
     real, took = am._numerals, []
@@ -784,13 +784,41 @@ def _mod3_target_dfa():
     return Dfa(delta, 0, {4, 5})
 
 
+def _per_class_answers(table):
+    """The table as the pass over pairs of states replaced it: one pair BFS
+    from (start, entry) per class, each through ``_numerals``."""
+    from equlat.automatic import _numerals
+
+    d = table.dfa
+    answers = [[0] * len(table.entries) for _ in table.entries]
+    for j, entry in enumerate(table.entries):
+        for p, q in _numerals((d.delta, d.start), (d.delta, entry)):
+            answers[table.state_class[p]][j] |= 2 if q in d.accepting else 1
+    return answers
+
+
 class TestJointAnswers:
     def test_joint_and_per_class_tables_agree(self):
         for d in _table_inputs() + _perturbed_dfas(7, 500):
             clean = _clean(d)
             joint, _ = _answers(clean, joint=True)
-            per_class, took_joint = _answers(clean, joint=False)
-            assert not took_joint and joint == per_class
+            pairs, took_joint = _answers(clean, joint=False)
+            assert not took_joint and joint == pairs == _per_class_answers(am._ClassTable(clean))
+
+    def test_pair_pass_on_random_dfas_to_the_cli_limit(self):
+        from equlat.cli import MAX_DFA_STATES
+
+        rng = random.Random(20261020)
+        sizes = [rng.randint(2, 64) for _ in range(30)] + [MAX_DFA_STATES]
+        overflowed = 0
+        for n in sizes:
+            delta = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(n)]
+            d = Dfa(delta, rng.randrange(n), {s for s in range(n) if rng.random() < 0.3})
+            table = am._ClassTable(_clean(d))
+            pairs, took_joint = _answers(table.dfa, joint=True)
+            overflowed += not took_joint
+            assert pairs == _per_class_answers(table)
+        assert overflowed > 20 and max(sizes) == MAX_DFA_STATES
 
     def test_only_non_equivalences_fall_back(self):
         # Every admitted input takes the joint path, which is where the

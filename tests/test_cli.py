@@ -855,13 +855,9 @@ def test_number_arguments_are_ascii_numerals(capsys, tmp_path, argv):
     assert code == 0
     # int() reads each of these as 2.
     for two in ("+2", "0_2", "\u0662"):
-        try:
-            code = main([a.format(dfa=dfa, n=two) for a in argv])
-        except SystemExit as exc:  # argparse refuses option values itself
-            code = exc.code
-        out, err = capsys.readouterr()
+        code, out, err = run(capsys, *(a.format(dfa=dfa, n=two) for a in argv))
         assert code == 2 and out == "", (two, out)
-        assert repr(two) in err
+        assert err == f"error: not a decimal numeral: {two!r}\n"
 
 
 @pytest.mark.parametrize("module", [cli, vf], ids=lambda m: m.__name__)

@@ -346,6 +346,72 @@ class TestKernelMatchesOldLoops:
                 assert type(out.accepting) is frozenset
 
 
+# -- refine against the Moore loop it replaced ----------------------------------
+
+def _old_refine(delta, start, label):
+    """Moore refinement numbering every block densely in every round, with
+    two hashes of each signature per round."""
+    index = dfa_module._reach(delta, start)
+    order = index.order
+    columns = [list(map(index.__getitem__, col)) for col in zip(*map(delta.__getitem__, order))]
+    labels = list(map(label, order))
+    signatures, block = labels, None
+    while True:
+        distinct = dict.fromkeys(signatures)
+        number = dict(zip(distinct, range(len(distinct))))
+        new_block = list(map(number.__getitem__, signatures))
+        if new_block == block:
+            break
+        block = new_block
+        at = block.__getitem__
+        signatures = list(zip(block, *(map(at, col) for col in columns)))
+    return tuple(sig[1:] for sig in number), list(dict(zip(block, labels)).values())
+
+
+def _random_table(rng, width):
+    """Up to 40 states, a start that may leave some unreachable, and labels
+    of mixed kinds drawn from a few values."""
+    n = rng.randint(1, 40)
+    delta = [tuple(rng.randrange(n) for _ in range(width)) for _ in range(n)]
+    values = rng.choice(([0, 1], [-1, 0, 1, 2], [(), ("a",), (0, 1)], [True]))
+    labels = [rng.choice(values) for _ in range(n)]
+    return delta, rng.randrange(n), labels.__getitem__
+
+
+def _refine_inputs():
+    from equlat.automatic import (
+        corpus, first_bit_differs_dfa, shared_feature_dfa, shorter_than_dfa, singleton_family,
+    )
+
+    rng = random.Random(20261020)
+    tables = [_random_table(rng, width) for width in (2, 3) for _ in range(150)]
+    relations = list(corpus.__wrapped__().values())
+    for _ in range(10):
+        indices = rng.sample(range(40), rng.randint(2, 16))
+        acc = singleton_family(indices[0])
+        for i in indices[1:]:
+            acc = acc.meet(singleton_family(i))
+        relations.append(acc)
+    for rel in relations:
+        delta, start, labels = rel._classes()
+        tables.append((delta, start, labels.__getitem__))
+        tables.append((delta, start, [x % 3 for x in labels].__getitem__))
+    controls = [first_bit_differs_dfa(), shorter_than_dfa(), shared_feature_dfa()]
+    for d in controls + [rel.dfa for rel in relations]:
+        tables.append((d.delta, d.start, d.accepting.__contains__))
+    return tables
+
+
+def test_refine_matches_old_moore_loop():
+    tables = _refine_inputs()
+    assert any(len(dfa_module._reach(delta, start)) < len(delta) for delta, start, _ in tables)
+    assert {start for _, start, _ in tables} - {0} and {len(t[0][0]) for t in tables} == {2, 3}
+    for delta, start, label in tables:
+        rows, labels = dfa_module.refine(delta, start, label)
+        assert (rows, labels) == _old_refine(delta, start, label)
+        assert all(type(row) is tuple for row in rows) and type(rows) is tuple
+
+
 # -- the text parser against the one it replaced -------------------------------
 
 
