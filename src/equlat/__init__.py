@@ -25,7 +25,7 @@ from .partition import (
     random_partition,
     singular_complement_valid,
 )
-from .dfa import Dfa, Nfa, binary, dfa_from_text, dfa_to_text, equivalent, minimize, pair_word
+from .dfa import Dfa, Nfa, binary, dfa_from_text, dfa_to_text, minimize, pair_word
 from .automatic import (
     AutomaticEq,
     ValidationError,

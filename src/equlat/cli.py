@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from collections import namedtuple
 from typing import Sequence
 
 from . import automatic as am
@@ -23,10 +24,11 @@ from .partition import Partition, numeral
 
 
 def _read(path: str) -> str:
+    limit = LIMITS["file"].value
     with open(path, "rb") as fh:
-        data = fh.read(MAX_FILE_BYTES + 1)  # never more than the limit allows
-    if len(data) > MAX_FILE_BYTES:
-        raise ValueError(f"file {path} is above the limit {MAX_FILE_BYTES} bytes")
+        data = fh.read(limit + 1)  # never more than the limit allows
+    if len(data) > limit:
+        raise ValueError(f"file {path} is above the limit {limit} bytes")
     return data.decode("utf-8")
 
 
@@ -49,7 +51,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_dfa(path: str) -> Dfa:
     d = dfa_from_text(_read(path))
-    _check_limit("DFA state count", d.state_count, MAX_DFA_STATES)
+    _check_limit("dfa", "DFA state count", d.state_count)
     return d
 
 
@@ -207,51 +209,73 @@ def _build_expr(node: ast.expr, source: str) -> dc.DeciderEq:
         if type(args[0].value) is not int:  # not a float, string or bool literal
             raise ValueError(f"nonhalt takes a whole number of steps, got {args[0].value!r}")
         n = numeral(ast.get_source_segment(source, args[0]))  # not 0x10, 0b11 or 1_0
-        _check_limit("nonhalt step bound", n, MAX_RUN_BOUND)
+        _check_limit("steps", "nonhalt step bound", n)
         return tmlab.nonhalt_eq(n)
     raise ValueError(f"cannot interpret {ast.dump(node)}")
 
 
-# Limits on the work a command may start, each checked before any of it.
-# `decider check` tabulates the relation on {0..B-1}: B^2 tests and memory.
-MAX_CHECK_BOUND = 512
-# `tm run` and `nonhalt(B)` take up to B steps per machine, and the
-# nonhalt-meet demo twice k steps per zoo machine.
-MAX_RUN_BOUND = 100_000
-# A halting probe keeps one coded point per step, each a bit per tape cell
-# long: memory grows as B^2 and time about as B^1.3 to B^1.4 (`tm probe`,
-# the join-undecidable demo and `verify tm`).
-MAX_PROBE_BOUND = 4_000
-# `complement` keeps about 100 bytes per value up to the largest value asked.
-MAX_COMPLEMENT_VALUE = 100_000
-# The automatic-meet-growth demo folds k meets of ever larger classifiers; its
-# time grows about as k^2 (0.1 s at k = 256, 0.3 s at 512, 1.2-1.3 s at 1024).
-MAX_MEET_GROWTH_K = 1024
-# `family meet` and the family-meet demo build member i with cuts[i] labels
-# for each i <= k, so the sum of those cuts bounds both the work and the
-# largest cut, cuts[k], which sizes the result (0.3-0.6 s and 34-46 MB at
-# the limit in one cut; 2,000 cuts 1..2000 took 1.1 s).
-MAX_FAMILY_CUTS = 100_000
-# `family meet --restrict N` and `decider restrict EXPR N` materialize N
-# elements: 0.17 s and 29 MB for a family at N = 100,000.  Every decider the
-# parser builds has a key, so it costs one key per element: 0.04-0.84 s in
-# process and 25-55 MB at N = 100,000, from parity to nonhalt(100).
-MAX_RESTRICT = 100_000
-# A partition, bitmask, DFA or machine file is read whole and parsed before
-# its content is checked against any other limit.
-MAX_FILE_BYTES = 1 << 20
-# Checking an automaton that is no equivalence takes one pass over pairs of
-# states, each with a set of classes: 0.43-0.58 s on random files at the
-# limit, 2.1-2.3 s in process at 512.  It also bounds `automatic meet` (0.34
-# to 0.38 s, writing 29,183-32,544 states) and `join` (0.10-0.17 s).
-MAX_DFA_STATES = 256
-# The atoms demo joins one n-element partition per member of its set
-# (0.56 s, 47 MB at n = 100,000 with three members; the joins alone took
-# 18 s at n = 10,000 with 5,000 members).
-MAX_ATOMS_WORK = 300_000
+# Each row: the options it bounds, each checked before any work, its limit and
+# why.  `equlat limits` prints the rows as the README's markdown table.
+Limit = namedtuple("Limit", "options value why")
+LIMITS = {
+    "check": Limit("`decider check --bound` (also below 1)", 512,
+                   "tabulates the B×B window: B² tests and memory"),
+    "steps": Limit("`tm run --bound`, `N` in a `nonhalt(N)` decider expression, "
+                   "`demo nonhalt-meet --k`", 100_000,
+                   "a step per unit of bound for each machine run: one in `tm run`, each one "
+                   "asked about in `nonhalt(N)`, and each zoo machine twice in the demo"),
+    "probe": Limit("`tm probe --bound`, `demo join-undecidable --bound`, "
+                   "`verify tm\\|all --tm-bound`", 4_000,
+                   "the probe keeps a coded point per step, a bit per tape cell each, so memory "
+                   "grows as B × (B + INPUT length) (peak 0.5 MB at 1,000, 5.2 MB at 4,000 with "
+                   "no INPUT) and time about as B^1.3 to B^1.4 (3–4 ms at 1,000, 14–30 ms at "
+                   "4,000)"),
+    "input": Limit("symbols in the INPUT of `tm probe` and `demo join-undecidable`", 4_000,
+                   "coded points hold the tape, INPUT included: at bound 4,000, `tm probe "
+                   "builder` peaked at 25 MB RSS with 4,000 symbols, 22 MB with none and 142 MB "
+                   "with 65,000"),
+    "complement": Limit("`M` and `N` of `decider decide` on an expression with `complement`",
+                        100_000,
+                        "the complement keeps an entry, about 80–100 bytes, for every value up "
+                        "to the larger one; at the limit the slowest keys (`nonhalt`, "
+                        "`approx_even`) take about 0.8 s and 30 MB"),
+    "meet-growth": Limit("`demo automatic-meet-growth --k`", 1_024,
+                         "k meets of ever larger classifiers; time grows about as k² (0.1 s at "
+                         "256, 0.3 s at 512, 1.2–1.3 s at 1024, and 1.8 MB at 1024)"),
+    "cuts": Limit("`family meet` and `demo family-meet`: the sum of `--cuts` up to index `--k`",
+                  100_000,
+                  "member i has cuts[i] labels, and the largest cut, cuts[k], sizes the result; "
+                  "at the limit one cut takes 0.3–0.6 s and 34–46 MB, and 2,000 cuts 1, 2, …, "
+                  "2000 (a sum of 2 million) took 1.1 s"),
+    "restrict": Limit("`family meet --restrict N`, `decider restrict EXPR N`", 100_000,
+                      "materializes N elements: 0.17 s and 29 MB for `family meet` at the limit; "
+                      "every decider expression has a key, so `decider restrict` costs one key "
+                      "per element, 0.04–0.84 s and 25–55 MB at the limit (from `parity` to "
+                      "`nonhalt(100)`, in process)"),
+    "file": Limit("bytes in any file the CLI reads: partition, `bitmask:`, DFA and machine files",
+                  1 << 20,
+                  "checked while reading, before the file is read whole; parsing a DFA file at "
+                  "the limit took 0.03–0.04 s and 32 MB in the layout equlat writes and up to "
+                  "0.1 s in any other, and `partition complement` of a 165,665-element file at "
+                  "the limit 0.33 s and 61 MB"),
+    "dfa": Limit("states of each DFA file", 256,
+                 "checking an automaton that is no equivalence takes one pass over pairs of "
+                 "states, each pair with a set of classes: `automatic check` took 0.43–0.58 s on "
+                 "seeded random files at the limit (517–544 states and 112–128 classes once "
+                 "format-clean and minimized) and 2.1–2.3 s in process at 512, against "
+                 "0.10–0.11 s for equivalences at the limit; it also bounds `automatic meet` and "
+                 "`join`: a meet of two 256-state equivalences took 0.34–0.38 s, most of it "
+                 "building the output pair DFA (29,183–32,544 states out), and their join "
+                 "0.10–0.17 s"),
+    "atoms": Limit("`demo atoms`: `--n` times the number of distinct `--set` members", 300_000,
+                   "one n-element join per member, so `--n` may reach 100,000 with the default "
+                   "three members: 0.56 s and 47 MB at n = 100,000 with three members, where "
+                   "the joins alone took 18 s at n = 10,000 with 5,000 members"),
+}
 
 
-def _check_limit(what: str, value: int, limit: int) -> None:
+def _check_limit(name: str, what: str, value: int) -> None:
+    limit = LIMITS[name].value
     if value > limit:
         raise ValueError(f"{what} {value} is above the limit {limit}")
 
@@ -264,15 +288,15 @@ def cmd_decider(args) -> int:
     if args.op == "decide":
         calls = ast.walk(tree)
         if any(isinstance(node, ast.Call) and node.func.id == "complement" for node in calls):
-            _check_limit("value", max(values), MAX_COMPLEMENT_VALUE)
+            _check_limit("complement", "value", max(values))
         print("true" if rel.decide(*values) else "false")
         return 0
     if args.op == "restrict":
-        _check_limit("restrict size", values[0], MAX_RESTRICT)
+        _check_limit("restrict", "restrict size", values[0])
         _emit(rel.restrict(values[0]).to_text(), args.out)
         return 0
     if args.op == "check":
-        _check_limit("check bound", args.bound, MAX_CHECK_BOUND)
+        _check_limit("check", "check bound", args.bound)
         if args.bound < 1:
             raise ValueError(f"sample bound must be at least 1, got {args.bound}")
         ok = dc.axiom_counterexamples(rel.decide, args.bound) == (None, None, None)
@@ -294,7 +318,9 @@ def cmd_tm(args) -> int:
         return 0
     spec, tape = _operands(args.operands, f"tm {args.op}", "MACHINE", "[INPUT]")
     tape = tape or ""
-    _check_limit("step bound", args.bound, MAX_RUN_BOUND if args.op == "run" else MAX_PROBE_BOUND)
+    _check_limit("steps" if args.op == "run" else "probe", "step bound", args.bound)
+    if args.op == "probe":
+        _check_limit("input", "input length", len(tape))
     machine = _load_machine(spec)
     if args.op == "run":
         steps, final = tmlab.simulate(machine, tape, args.bound)
@@ -343,12 +369,12 @@ def _family_spec(args) -> cs.SingularFamilySpec:
     if args.k >= len(cuts):
         raise ValueError(f"--k must be below the number of cuts ({len(cuts)})")
     if args.k >= 0:  # a negative k is refused by the meet itself
-        _check_limit("sum of the cuts up to k", sum(cuts[: args.k + 1]), MAX_FAMILY_CUTS)
+        _check_limit("cuts", "sum of the cuts up to k", sum(cuts[: args.k + 1]))
     return spec
 
 
 def cmd_family(args) -> int:
-    _check_limit("restrict size", args.restrict or 0, MAX_RESTRICT)
+    _check_limit("restrict", "restrict size", args.restrict or 0)
     spec = _family_spec(args)
     result = cs.truncated_family_meet(spec, args.k)
     if args.restrict is not None:
@@ -361,7 +387,8 @@ def cmd_family(args) -> int:
 # -- demos ----------------------------------------------------------------------
 
 def demo_join_undecidable(args) -> int:
-    _check_limit("step bound", args.bound, MAX_PROBE_BOUND)
+    _check_limit("probe", "step bound", args.bound)
+    _check_limit("input", "input length", len(args.input))
     machine = _load_machine(args.machine)
     result = tmlab.halting_probe(machine, args.input, args.bound)
     direct = tmlab.halt_step(machine, args.input, args.bound)
@@ -381,7 +408,7 @@ def demo_join_undecidable(args) -> int:
 
 
 def demo_meet_growth(args) -> int:
-    _check_limit("k", args.k, MAX_MEET_GROWTH_K)
+    _check_limit("meet-growth", "k", args.k)
     counts = am.family_meet_demo(args.k)
     print("meets of two-class relations need ever more classes:")
     print("class counts after each meet:", " ".join(str(c) for c in counts))
@@ -406,7 +433,7 @@ def demo_family_meet(args) -> int:
 
 
 def demo_nonhalt_meet(args) -> int:
-    _check_limit("k", args.k, MAX_RUN_BOUND)
+    _check_limit("steps", "k", args.k)
     machines = list(tmlab.zoo().values())
     names = list(tmlab.zoo().keys())
     part = tmlab.nonhalt_family_meet(args.k, machines)
@@ -423,7 +450,7 @@ def demo_nonhalt_meet(args) -> int:
 def demo_atoms(args) -> int:
     members = sorted(numeral(tok.strip()) for tok in args.set.split(","))
     big = set(members)
-    _check_limit("n times the set's members", args.n * len(big), MAX_ATOMS_WORK)
+    _check_limit("atoms", "n times the set's members", args.n * len(big))
     atoms = cs.star_atoms(members, args.n)
     print(f"atoms joining to the singular relation with class {members} on n={args.n}:")
     print("atoms:", " ".join(f"({a.a},{a.b})" for a in atoms))
@@ -439,13 +466,19 @@ def demo_atoms(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite in ("tm", "all"):
-        _check_limit("tm step bound", args.tm_bound, MAX_PROBE_BOUND)
+        _check_limit("probe", "tm step bound", args.tm_bound)
     results = vf.run_suite(args.suite, args.tm_bound)
     for r in results:
         print(r.line())
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
+
+
+def cmd_limits(args) -> int:
+    rows = [f"| {r.options} | {r.value:,} | {r.why} |" for r in LIMITS.values()]
+    print("| option | limit | why |", "| --- | --- | --- |", *rows, sep="\n")
+    return 0
 
 
 class _Number(str):
@@ -531,6 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tm-bound", type=_Number, default="1000", help="step bound for the tm suite, also under all"
     )
     p.set_defaults(fn=cmd_verify)
+
+    p = sub.add_parser("limits", help="the work limits, as a markdown table")
+    p.set_defaults(fn=cmd_limits)
     return parser
 
 

@@ -108,11 +108,6 @@ def _reach(delta, start: int) -> _Index:
     return index
 
 
-def reachable_states(d: Dfa) -> list[int]:
-    """States reachable from the start, in BFS discovery order."""
-    return _reach(d.delta, d.start).order
-
-
 def product_table(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]:
     """Transition table of the reachable pairs of states of a and b, numbered
     in BFS order from (a.start, b.start), and the list of those pairs."""
@@ -130,15 +125,6 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
     fa, fb = a.accepting, b.accepting
     accepting = frozenset(i for i, (sa, sb) in enumerate(pairs) if op(sa in fa, sb in fb))
     return Dfa._mk(delta, 0, accepting)
-
-
-def is_empty(d: Dfa) -> bool:
-    return not any(s in d.accepting for s in reachable_states(d))
-
-
-def equivalent(a: Dfa, b: Dfa) -> bool:
-    """Language equality via emptiness of the symmetric difference."""
-    return is_empty(product(a, b, lambda x, y: x != y))
 
 
 def refine(delta, start: int, label: Callable[[int], Hashable]) -> tuple[tuple, list]:

@@ -434,10 +434,6 @@ class SmallEq:
     def class_count(self) -> int:
         return len(set(self.labels) | {self.tail_label})
 
-    def tail_members_below(self) -> tuple[int, ...]:
-        """The finite part of the tail class (members below the threshold)."""
-        return tuple(x for x, lab in enumerate(self.labels) if lab == self.tail_label)
-
     def is_singular(self) -> bool:
         """True iff every class other than the (infinite) tail is a singleton."""
         others = [lab for lab in self.labels if lab != self.tail_label]

@@ -22,9 +22,10 @@ from equlat.automatic import (
     singleton_family,
     universal_relation,
 )
-from equlat.dfa import Dfa, binary, equivalent, minimize, pair_word, product, refine
+from equlat.dfa import Dfa, binary, minimize, pair_word, product, refine
 from equlat.partition import Partition
 from equlat.verify import _brute_axioms
+from dfa_oracle import equivalent, is_empty
 
 
 def _single_word_dfa(word):
@@ -585,8 +586,6 @@ _OLD_MESSAGES = {
 def _old_subset_of(a, b):
     """The containment test transitivity used: a product and a reachability
     scan over the whole pair alphabet."""
-    from equlat.dfa import is_empty
-
     return is_empty(product(a, b, lambda x, y: x and not y))
 
 
@@ -806,10 +805,11 @@ class TestJointAnswers:
             assert not took_joint and joint == pairs == _per_class_answers(am._ClassTable(clean))
 
     def test_pair_pass_on_random_dfas_to_the_cli_limit(self):
-        from equlat.cli import MAX_DFA_STATES
+        from equlat.cli import LIMITS
 
+        limit = LIMITS["dfa"].value
         rng = random.Random(20261020)
-        sizes = [rng.randint(2, 64) for _ in range(30)] + [MAX_DFA_STATES]
+        sizes = [rng.randint(2, 64) for _ in range(30)] + [limit]
         overflowed = 0
         for n in sizes:
             delta = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(n)]
@@ -818,7 +818,7 @@ class TestJointAnswers:
             pairs, took_joint = _answers(table.dfa, joint=True)
             overflowed += not took_joint
             assert pairs == _per_class_answers(table)
-        assert overflowed > 20 and max(sizes) == MAX_DFA_STATES
+        assert overflowed > 20 and max(sizes) == limit
 
     def test_only_non_equivalences_fall_back(self):
         # Every admitted input takes the joint path, which is where the

@@ -1,7 +1,6 @@
 import ast
 import operator
 import pathlib
-import re
 
 import pytest
 
@@ -12,22 +11,10 @@ from equlat import tm as tmlab
 from equlat import verify as vf
 from equlat.automatic import corpus, shared_feature_dfa
 from equlat import constructions as cs
-from equlat.cli import (
-    MAX_ATOMS_WORK,
-    MAX_CHECK_BOUND,
-    MAX_COMPLEMENT_VALUE,
-    MAX_DFA_STATES,
-    MAX_FAMILY_CUTS,
-    MAX_FILE_BYTES,
-    MAX_MEET_GROWTH_K,
-    MAX_PROBE_BOUND,
-    MAX_RESTRICT,
-    MAX_RUN_BOUND,
-    main,
-    parse_decider_expr,
-)
-from equlat.dfa import Dfa, dfa_from_text, dfa_to_text, equivalent, product
+from equlat.cli import LIMITS, main, parse_decider_expr
+from equlat.dfa import Dfa, dfa_from_text, dfa_to_text, product
 from equlat.partition import Partition, SmallEq
+from dfa_oracle import equivalent
 
 
 def run(capsys, *argv):
@@ -116,20 +103,21 @@ class TestPartitionCommands:
         assert out.splitlines() == ["atom: 0 1", "atom: 2 3"]
 
     def test_file_size_limit(self, capsys, monkeypatch, tmp_path):
+        limit = LIMITS["file"].value
         # The parse is stubbed to record the length of the text it is given.
         read = []
         monkeypatch.setattr(
             Partition, "from_text", classmethod(lambda cls, t: read.append(len(t)) or cls.top(2))
         )
         target = tmp_path / "padded.part"
-        target.write_text("\n" * MAX_FILE_BYTES)
+        target.write_text("\n" * limit)
         code, out, err = run(capsys, "partition", "complement", str(target))
-        assert (code, err) == (0, "") and read == [MAX_FILE_BYTES]
+        assert (code, err) == (0, "") and read == [limit]
         read.clear()
-        target.write_text("\n" * (MAX_FILE_BYTES + 1))
+        target.write_text("\n" * (limit + 1))
         code, out, err = run(capsys, "partition", "complement", str(target))
         assert code == 2 and out == "" and read == []
-        assert err == f"error: file {target} is above the limit {MAX_FILE_BYTES} bytes\n"
+        assert err == f"error: file {target} is above the limit {limit} bytes\n"
 
 
 class TestAutomaticCommands:
@@ -203,21 +191,23 @@ class TestAutomaticCommands:
         assert equivalent(emitted, dfa_from_text(out_path.read_text()))
 
     def test_dfa_file_size_limit(self, capsys, monkeypatch, tmp_path):
+        limit = LIMITS["file"].value
         checked = []
         monkeypatch.setattr(am, "admission_checks", lambda d: checked.append(d.state_count) or [])
         text = dfa_to_text(corpus()["mod3"].dfa)
         target = tmp_path / "padded.dfa"
-        target.write_text(text + "\n" * (MAX_FILE_BYTES - len(text)))
+        target.write_text(text + "\n" * (limit - len(text)))
         code, out, err = run(capsys, "automatic", "check", str(target))
         assert (code, out, err) == (0, "", "") and checked == [corpus()["mod3"].dfa.state_count]
         checked.clear()
-        target.write_text(text + "\n" * (MAX_FILE_BYTES + 1 - len(text)))
+        target.write_text(text + "\n" * (limit + 1 - len(text)))
         code, out, err = run(capsys, "automatic", "check", str(target))
         assert code == 2 and out == "" and checked == []
-        assert err == f"error: file {target} is above the limit {MAX_FILE_BYTES} bytes\n"
+        assert err == f"error: file {target} is above the limit {limit} bytes\n"
 
     @pytest.mark.parametrize("op", ["check", "reps", "minimize", "meet", "join"])
     def test_dfa_state_limit(self, capsys, monkeypatch, tmp_path, op):
+        limit = LIMITS["dfa"].value
         # Admission and minimization are stubbed to record the state counts
         # they are given; meet and join check both files before either.
         work = []
@@ -229,18 +219,18 @@ class TestAutomaticCommands:
             am.AutomaticEq, "from_dfa", classmethod(lambda cls, d: work.append(d.state_count) or mod3)
         )
         files = {}
-        for n in (MAX_DFA_STATES, MAX_DFA_STATES + 1):
+        for n in (limit, limit + 1):
             files[n] = tmp_path / f"cycle{n}.dfa"
             files[n].write_text(dfa_to_text(Dfa([((s + 1) % n,) * 3 for s in range(n)], 0, ())))
         operands = 2 if op in ("meet", "join") else 1
-        code, _, err = run(capsys, "automatic", op, *[str(files[MAX_DFA_STATES])] * operands)
-        assert code == 0 and err == "" and work == [MAX_DFA_STATES] * operands
+        code, _, err = run(capsys, "automatic", op, *[str(files[limit])] * operands)
+        assert code == 0 and err == "" and work == [limit] * operands
         work.clear()
-        over = [str(files[MAX_DFA_STATES])] * (operands - 1) + [str(files[MAX_DFA_STATES + 1])]
+        over = [str(files[limit])] * (operands - 1) + [str(files[limit + 1])]
         code, out, err = run(capsys, "automatic", op, *over)
         assert code == 2 and out == "" and work == []
         assert err == (
-            f"error: DFA state count {MAX_DFA_STATES + 1} is above the limit {MAX_DFA_STATES}\n"
+            f"error: DFA state count {limit + 1} is above the limit {limit}\n"
         )
 
     def test_minimize_round_trip(self, capsys, tmp_path):
@@ -266,17 +256,18 @@ class TestDeciderCommands:
         )
 
     def test_restrict_size_limit(self, capsys, monkeypatch):
+        limit = LIMITS["restrict"].value
         sizes = []
         monkeypatch.setattr(
             dc.DeciderEq, "restrict", lambda self, n: sizes.append(n) or Partition.bottom(1)
         )
-        code, out, err = run(capsys, "decider", "restrict", "parity", str(MAX_RESTRICT))
-        assert (code, out, err) == (0, "class: 0\n", "") and sizes == [MAX_RESTRICT]
+        code, out, err = run(capsys, "decider", "restrict", "parity", str(limit))
+        assert (code, out, err) == (0, "class: 0\n", "") and sizes == [limit]
         sizes.clear()
-        code, out, err = run(capsys, "decider", "restrict", "parity", str(MAX_RESTRICT + 1))
+        code, out, err = run(capsys, "decider", "restrict", "parity", str(limit + 1))
         assert code == 2 and out == "" and sizes == []
         assert err == (
-            f"error: restrict size {MAX_RESTRICT + 1} is above the limit {MAX_RESTRICT}\n"
+            f"error: restrict size {limit + 1} is above the limit {limit}\n"
         )
 
     def test_unknown_name_is_an_error(self, capsys):
@@ -305,16 +296,17 @@ class TestDeciderCommands:
         assert code == 0 and out.endswith("cost note: bounded simulation, fixed 10 steps\n")
 
     def test_nonhalt_step_bound_limit(self, capsys, simulate_bounds):
+        limit = LIMITS["steps"].value
         spin, builder = (str(tmlab.encode_tm(tmlab.zoo()[name])) for name in ("spin", "builder"))
-        expr = f"nonhalt({MAX_RUN_BOUND})"
+        expr = f"nonhalt({limit})"
         code, out, err = run(capsys, "decider", "decide", expr, spin, builder)
-        assert (code, out, err) == (0, "true\n", "") and simulate_bounds == [MAX_RUN_BOUND] * 2
+        assert (code, out, err) == (0, "true\n", "") and simulate_bounds == [limit] * 2
         simulate_bounds.clear()
-        expr = f"nonhalt({MAX_RUN_BOUND + 1})"
+        expr = f"nonhalt({limit + 1})"
         code, out, err = run(capsys, "decider", "decide", expr, spin, builder)
         assert code == 2 and out == "" and simulate_bounds == []
         assert err == (
-            f"error: nonhalt step bound {MAX_RUN_BOUND + 1} is above the limit {MAX_RUN_BOUND}\n"
+            f"error: nonhalt step bound {limit + 1} is above the limit {limit}\n"
         )
 
     @pytest.mark.parametrize("expr", ["complement(bottom)", "meet(parity, complement (top))"])
@@ -326,7 +318,7 @@ class TestDeciderCommands:
             return dc.DeciderEq.from_key(lambda x: asked.append(x) or x)
 
         monkeypatch.setattr(dc, "least_element_complement", stub)
-        limit = MAX_COMPLEMENT_VALUE
+        limit = LIMITS["complement"].value
         code, out, err = run(capsys, "decider", "decide", expr, "0", str(limit))
         assert (code, out, err) == (0, "false\n", "") and asked == [0, limit]
         for m, n in ((0, limit + 1), (limit + 1, 0)):
@@ -413,19 +405,20 @@ class TestTmCommands:
         assert "unknown machine" not in err
 
     def test_machine_file_size_limit(self, capsys, monkeypatch, tmp_path):
+        limit = LIMITS["file"].value
         # The parse is stubbed to record the length of the text it is given.
         read = []
         halt = tmlab.zoo()["halt"]
         monkeypatch.setattr(tmlab, "tm_from_text", lambda t, name="": read.append(len(t)) or halt)
         target = tmp_path / "padded.tm"
-        target.write_text("\n" * MAX_FILE_BYTES)
+        target.write_text("\n" * limit)
         code, out, err = run(capsys, "tm", "run", str(target))
-        assert (code, err) == (0, "") and read == [MAX_FILE_BYTES]
+        assert (code, err) == (0, "") and read == [limit]
         read.clear()
-        target.write_text("\n" * (MAX_FILE_BYTES + 1))
+        target.write_text("\n" * (limit + 1))
         code, out, err = run(capsys, "tm", "run", str(target))
         assert code == 2 and out == "" and read == []
-        assert err == f"error: file {target} is above the limit {MAX_FILE_BYTES} bytes\n"
+        assert err == f"error: file {target} is above the limit {limit} bytes\n"
 
 
 class TestFamilyAndDemos:
@@ -435,7 +428,7 @@ class TestFamilyAndDemos:
         )
         assert code == 0
         got = SmallEq.from_text(out)
-        assert got.tail_members_below() == (0, 2, 4, 6)
+        assert [x for x in range(got.threshold) if got.key(x) == got.tail_label] == [0, 2, 4, 6]
 
     def test_family_meet_restricted(self, capsys):
         code, out, _ = run(
@@ -454,15 +447,17 @@ class TestFamilyAndDemos:
             "family", "meet", "--pred", f"bitmask:{mask}", "--cuts", "4,8,16", "--k", "1",
         )
         assert code == 0
-        assert SmallEq.from_text(out).tail_members_below() == (1, 2, 4)
+        got = SmallEq.from_text(out)
+        assert [x for x in range(got.threshold) if got.key(x) == got.tail_label] == [1, 2, 4]
 
     def test_family_meet_bitmask_size_limit(self, capsys, tmp_path):
+        limit = LIMITS["file"].value
         mask = tmp_path / "mask.txt"
-        mask.write_text("0" * (MAX_FILE_BYTES + 1))
+        mask.write_text("0" * (limit + 1))
         argv = ("family", "meet", "--pred", f"bitmask:{mask}", "--cuts", "4,8,16", "--k", "1")
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == f"error: file {mask} is above the limit {MAX_FILE_BYTES} bytes\n"
+        assert err == f"error: file {mask} is above the limit {limit} bytes\n"
 
     @pytest.mark.parametrize("argv", [("--set", "1"), ("--set", "1,9"), ("--set", "1,3", "--n", "3")])
     def test_demo_atoms_validates_before_printing(self, capsys, argv):
@@ -580,22 +575,23 @@ class TestExitContract:
         assert code == 0 and "[PASS] equivalence axioms on {0..0}" in out
 
     def test_sample_bound_limit(self, capsys, monkeypatch):
+        limit = LIMITS["check"].value
         tabulated = []
         monkeypatch.setattr(dc, "axiom_counterexamples", lambda *args: tabulated.append(args))
-        bound = str(MAX_CHECK_BOUND + 1)
+        bound = str(limit + 1)
         code, out, err = run(capsys, "decider", "check", "parity", "--bound", bound)
         assert code == 2
-        assert err.startswith("error: ") and f"limit {MAX_CHECK_BOUND}" in err
+        assert err.startswith("error: ") and f"limit {limit}" in err
         assert out == "" and tabulated == []
 
     @pytest.mark.parametrize(
         "argv,limit,stepping",
         [
-            (("tm", "run", "spin", ""), MAX_RUN_BOUND, ("simulate",)),
-            (("tm", "probe", "builder", ""), MAX_PROBE_BOUND, ("halting_probe", "halt_step")),
+            (("tm", "run", "spin", ""), LIMITS["steps"].value, ("simulate",)),
+            (("tm", "probe", "builder", ""), LIMITS["probe"].value, ("halting_probe", "halt_step")),
             (
                 ("demo", "join-undecidable", "--machine", "builder"),
-                MAX_PROBE_BOUND,
+                LIMITS["probe"].value,
                 ("halting_probe", "halt_step"),
             ),
         ],
@@ -615,24 +611,45 @@ class TestExitContract:
         assert code == 2 and out == "" and bounds == []
         assert err == f"error: step bound {limit + 1} is above the limit {limit}\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("tm", "probe", "builder"), ("demo", "join-undecidable", "--input")]
+    )
+    def test_probe_input_limit(self, capsys, monkeypatch, argv):
+        # The probe and its check are stubbed to record the input's length
+        # and run 3 steps on the empty input.
+        limit = LIMITS["input"].value
+        lengths = []
+        for name in ("halting_probe", "halt_step"):
+            real = getattr(tmlab, name)
+            stub = lambda m, inp, bound, real=real: lengths.append(len(inp)) or real(m, "", 3)
+            monkeypatch.setattr(tmlab, name, stub)
+        code, out, err = run(capsys, *argv, "1" * limit)
+        assert code == 0 and err == "" and lengths == [limit] * 2
+        lengths.clear()
+        code, out, err = run(capsys, *argv, "1" * (limit + 1))
+        assert code == 2 and out == "" and lengths == []
+        assert err == f"error: input length {limit + 1} is above the limit {limit}\n"
+
     def test_verify_tm_bound_limit(self, capsys, monkeypatch):
+        limit = LIMITS["probe"].value
         bounds = []
         monkeypatch.setattr(vf, "tm_checks", lambda step_bound: bounds.append(step_bound) or [])
-        code, out, _ = run(capsys, "verify", "tm", "--tm-bound", str(MAX_PROBE_BOUND))
-        assert code == 0 and out == "0/0 checks passed\n" and bounds == [MAX_PROBE_BOUND]
+        code, out, _ = run(capsys, "verify", "tm", "--tm-bound", str(limit))
+        assert code == 0 and out == "0/0 checks passed\n" and bounds == [limit]
         bounds.clear()
-        code, out, err = run(capsys, "verify", "tm", "--tm-bound", str(MAX_PROBE_BOUND + 1))
+        code, out, err = run(capsys, "verify", "tm", "--tm-bound", str(limit + 1))
         assert code == 2 and out == "" and bounds == []
         assert err == (
-            f"error: tm step bound {MAX_PROBE_BOUND + 1} is above the limit {MAX_PROBE_BOUND}\n"
+            f"error: tm step bound {limit + 1} is above the limit {limit}\n"
         )
 
     def test_verify_tm_bound_limits_only_the_tm_suite(self, capsys, monkeypatch):
+        limit = LIMITS["probe"].value
         calls = []
         monkeypatch.setattr(vf, "tm_checks", lambda step_bound: calls.append(step_bound) or [])
         for name in vf.SUITES:
             monkeypatch.setitem(vf.SUITES, name, lambda name=name: calls.append(name) or [])
-        above = str(MAX_PROBE_BOUND + 1)
+        above = str(limit + 1)
         code, out, _ = run(capsys, "verify", "constructions", "--tm-bound", above)
         assert code == 0 and out == "0/0 checks passed\n" and calls == ["constructions"]
         calls.clear()
@@ -641,7 +658,7 @@ class TestExitContract:
         calls.clear()
         code, out, err = run(capsys, "verify", "all", "--tm-bound", above)
         assert code == 2 and out == "" and calls == []
-        assert err == f"error: tm step bound {above} is above the limit {MAX_PROBE_BOUND}\n"
+        assert err == f"error: tm step bound {above} is above the limit {limit}\n"
 
     def test_default_sample_bound(self, capsys):
         code, out, _ = run(capsys, "decider", "check", "parity")
@@ -668,15 +685,16 @@ class TestExitContract:
         assert out == ""
 
     def test_nonhalt_meet_level_limit(self, capsys, simulate_bounds):
+        limit = LIMITS["steps"].value
         # The demo simulates each zoo machine once for its meet and once for
         # its check.
-        code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", str(MAX_RUN_BOUND))
+        code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", str(limit))
         assert code == 0 and err == "" and "[PASS]" in out
-        assert simulate_bounds == [MAX_RUN_BOUND] * (2 * len(tmlab.zoo()))
+        assert simulate_bounds == [limit] * (2 * len(tmlab.zoo()))
         simulate_bounds.clear()
-        code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", str(MAX_RUN_BOUND + 1))
+        code, out, err = run(capsys, "demo", "nonhalt-meet", "--k", str(limit + 1))
         assert code == 2 and out == "" and simulate_bounds == []
-        assert err == f"error: k {MAX_RUN_BOUND + 1} is above the limit {MAX_RUN_BOUND}\n"
+        assert err == f"error: k {limit + 1} is above the limit {limit}\n"
 
     @pytest.mark.parametrize("group", [("demo", "family-meet"), ("family", "meet")])
     def test_family_cut_sum_limit(self, capsys, monkeypatch, group):
@@ -689,7 +707,7 @@ class TestExitContract:
             lambda spec, k: ks.append(k) or cs.family_member(spec, 0),
         )
         monkeypatch.setattr(cs, "closed_form_meet", lambda spec, k: cs.family_member(spec, 0))
-        limit = MAX_FAMILY_CUTS
+        limit = LIMITS["cuts"].value
         argv = (*group, "--pred", "even", "--k", "2")
         code, out, err = run(capsys, *argv, "--cuts", f"2,4,{limit - 6},{limit}")
         assert code in (0, 1) and err == "" and ks == [2]
@@ -699,6 +717,7 @@ class TestExitContract:
         assert err == f"error: sum of the cuts up to k {limit + 1} is above the limit {limit}\n"
 
     def test_family_restrict_limit(self, capsys, monkeypatch):
+        limit = LIMITS["restrict"].value
         sizes = []
         monkeypatch.setattr(
             SmallEq, "restrict", lambda self, n: sizes.append(n) or Partition.bottom(1)
@@ -706,13 +725,13 @@ class TestExitContract:
         real = cs.truncated_family_meet
         monkeypatch.setattr(cs, "truncated_family_meet", lambda *a: sizes.append(a[1]) or real(*a))
         argv = ("family", "meet", "--pred", "even", "--cuts", "2,4,8", "--k", "1", "--restrict")
-        code, out, err = run(capsys, *argv, str(MAX_RESTRICT))
-        assert (code, out, err) == (0, "class: 0\n", "") and sizes == [1, MAX_RESTRICT]
+        code, out, err = run(capsys, *argv, str(limit))
+        assert (code, out, err) == (0, "class: 0\n", "") and sizes == [1, limit]
         sizes.clear()
-        code, out, err = run(capsys, *argv, str(MAX_RESTRICT + 1))
+        code, out, err = run(capsys, *argv, str(limit + 1))
         assert code == 2 and out == "" and sizes == []
         assert err == (
-            f"error: restrict size {MAX_RESTRICT + 1} is above the limit {MAX_RESTRICT}\n"
+            f"error: restrict size {limit + 1} is above the limit {limit}\n"
         )
 
     @pytest.mark.parametrize("n", ["0", "-3"])
@@ -722,39 +741,41 @@ class TestExitContract:
         assert (code, out, err) == (2, "", f"error: invalid universe size {n}\n")
 
     def test_atoms_work_limit(self, capsys, monkeypatch):
+        limit = LIMITS["atoms"].value
         # With the default three members, --n may reach a third of the limit.
         ns = []
         monkeypatch.setattr(
             cs, "atoms_to_singular", lambda members, n: ns.append(n) or Partition.bottom(1)
         )
-        n = MAX_ATOMS_WORK // 3
+        n = limit // 3
         code, out, err = run(capsys, "demo", "atoms", "--n", str(n))
         assert code == 1 and err == "" and "[FAIL]" in out and ns == [n]
         ns.clear()
         code, out, err = run(capsys, "demo", "atoms", "--n", str(n + 1))
         assert code == 2 and out == "" and ns == []
         assert err == (
-            f"error: n times the set's members {3 * n + 3} is above the limit {MAX_ATOMS_WORK}\n"
+            f"error: n times the set's members {3 * n + 3} is above the limit {limit}\n"
         )
         many = ",".join(map(str, range(301)))
         code, out, err = run(capsys, "demo", "atoms", "--n", "1000", "--set", many)
         assert code == 2 and out == "" and ns == []
         assert err == (
-            f"error: n times the set's members 301000 is above the limit {MAX_ATOMS_WORK}\n"
+            f"error: n times the set's members 301000 is above the limit {limit}\n"
         )
 
     def test_meet_growth_k_limit(self, capsys, monkeypatch):
+        limit = LIMITS["meet-growth"].value
         ks = []
         monkeypatch.setattr(
             am, "family_meet_demo", lambda k: ks.append(k) or list(range(2, k + 2))
         )
         argv = ("demo", "automatic-meet-growth", "--k")
-        code, out, err = run(capsys, *argv, str(MAX_MEET_GROWTH_K))
-        assert code == 0 and err == "" and "[PASS]" in out and ks == [MAX_MEET_GROWTH_K]
+        code, out, err = run(capsys, *argv, str(limit))
+        assert code == 0 and err == "" and "[PASS]" in out and ks == [limit]
         ks.clear()
-        code, out, err = run(capsys, *argv, str(MAX_MEET_GROWTH_K + 1))
+        code, out, err = run(capsys, *argv, str(limit + 1))
         assert code == 2 and out == "" and ks == []
-        assert err == f"error: k {MAX_MEET_GROWTH_K + 1} is above the limit {MAX_MEET_GROWTH_K}\n"
+        assert err == f"error: k {limit + 1} is above the limit {limit}\n"
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_nonhalt_meet_level_validated_first(self, capsys, k):
@@ -882,18 +903,128 @@ def test_no_private_names_of_other_modules(module):
     assert aliases and private == []
 
 
-def test_readme_limits_table_matches_the_cli():
-    """Every ``MAX_*`` value of the CLI appears, comma-formatted, in the limit
-    column of the README's limits table, and every number there is one of them."""
+def test_readme_limits_table_matches_the_cli(capsys):
+    """The README's limits table is what ``equlat limits`` prints, byte for byte."""
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    lines = readme.read_text(encoding="utf-8").splitlines()
-    start = lines.index("| option | limit | why |") + 2  # past the header rule
-    column = []
-    for line in lines[start:]:
-        if not line.startswith("|"):
-            break
-        column.append(re.split(r"(?<!\\)\|", line)[2])
-    numbers = {n for cell in column for n in re.findall(r"\d[\d,]*\d|\d", cell)}
-    names = [name for name in vars(cli) if name.startswith("MAX_")]
-    assert len(column) >= len(names) > 0  # a row for each limit at least
-    assert numbers == {f"{getattr(cli, name):,}" for name in names}
+    lines = readme.read_text(encoding="utf-8").splitlines(keepends=True)
+    start = lines.index("| option | limit | why |\n")
+    end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+    code, out, err = run(capsys, "limits")
+    assert (code, err) == (0, "") and out == "".join(lines[start:end])
+
+
+class _Stubbed(Exception):
+    """Raised in place of the work a command starts once its limits pass."""
+
+
+def _stubbed(*args, **kwargs):
+    raise _Stubbed
+
+
+def _padded(path, size):
+    path.write_text("\n" * size)
+    return str(path)
+
+
+def _cycle_dfa(path, n):
+    path.write_text(dfa_to_text(Dfa([((s + 1) % n,) * 3 for s in range(n)], 0, ())))
+    return str(path)
+
+
+# Per row of LIMITS: the work its commands start, each stubbed to raise
+# _Stubbed, and a command line at value v for every option the row bounds.
+_LIMIT_CASES = {
+    "check": (
+        [(dc, "axiom_counterexamples")],
+        [lambda v, tmp: ("decider", "check", "parity", "--bound", str(v))],
+    ),
+    "steps": (
+        [(tmlab, "simulate"), (tmlab, "nonhalt_eq"), (tmlab, "nonhalt_family_meet")],
+        [
+            lambda v, tmp: ("tm", "run", "spin", "", "--bound", str(v)),
+            lambda v, tmp: ("decider", "decide", f"nonhalt({v})", "0", "1"),
+            lambda v, tmp: ("demo", "nonhalt-meet", "--k", str(v)),
+        ],
+    ),
+    "probe": (
+        [(tmlab, "halting_probe"), (vf, "run_suite")],
+        [
+            lambda v, tmp: ("tm", "probe", "builder", "", "--bound", str(v)),
+            lambda v, tmp: ("demo", "join-undecidable", "--machine", "builder", "--bound", str(v)),
+            lambda v, tmp: ("verify", "tm", "--tm-bound", str(v)),
+            lambda v, tmp: ("verify", "all", "--tm-bound", str(v)),
+        ],
+    ),
+    "input": (
+        [(tmlab, "halting_probe")],
+        [
+            lambda v, tmp: ("tm", "probe", "builder", "1" * v),
+            lambda v, tmp: ("demo", "join-undecidable", "--machine", "builder", "--input", "1" * v),
+        ],
+    ),
+    "complement": (
+        [(dc.DeciderEq, "decide")],
+        [
+            lambda v, tmp: ("decider", "decide", "complement(bottom)", "0", str(v)),
+            lambda v, tmp: ("decider", "decide", "complement(bottom)", str(v), "0"),
+        ],
+    ),
+    "meet-growth": (
+        [(am, "family_meet_demo")],
+        [lambda v, tmp: ("demo", "automatic-meet-growth", "--k", str(v))],
+    ),
+    "cuts": (
+        [(cs, "truncated_family_meet")],
+        [
+            lambda v, tmp: ("family", "meet", "--pred", "even", "--cuts", f"1,{v - 1}", "--k", "1"),
+            lambda v, tmp: ("demo", "family-meet", "--cuts", f"1,{v - 1}", "--k", "1"),
+        ],
+    ),
+    "restrict": (
+        [(cs, "truncated_family_meet"), (dc.DeciderEq, "restrict")],
+        [
+            lambda v, tmp: ("family", "meet", "--pred", "even", "--cuts", "2", "--k", "0",
+                            "--restrict", str(v)),
+            lambda v, tmp: ("decider", "restrict", "parity", str(v)),
+        ],
+    ),
+    "file": (
+        [(Partition, "from_text"), (cli, "dfa_from_text"), (tmlab, "tm_from_text"),
+         (cs, "bitmask_predicate")],
+        [
+            lambda v, tmp: ("partition", "complement", _padded(tmp / "p", v)),
+            lambda v, tmp: ("automatic", "check", _padded(tmp / "d", v)),
+            lambda v, tmp: ("tm", "run", _padded(tmp / "m", v)),
+            lambda v, tmp: ("family", "meet", "--pred", f"bitmask:{_padded(tmp / 'b', v)}",
+                            "--cuts", "2", "--k", "0"),
+        ],
+    ),
+    "dfa": (
+        [(am, "admission_checks"), (am.AutomaticEq, "from_dfa")],
+        [
+            lambda v, tmp: ("automatic", "check", _cycle_dfa(tmp / "c.dfa", v)),
+            lambda v, tmp: ("automatic", "meet", _cycle_dfa(tmp / "l.dfa", v),
+                            _cycle_dfa(tmp / "r.dfa", v)),
+        ],
+    ),
+    "atoms": (
+        [(cs, "star_atoms")],
+        [lambda v, tmp: ("demo", "atoms", "--set", "0", "--n", str(v))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(LIMITS) | set(_LIMIT_CASES)))
+def test_every_limit_at_and_above_its_value(capsys, monkeypatch, tmp_path, name):
+    """Every command a LIMITS row bounds reaches its work at the limit and is
+    refused one above it, before any work; a row without cases fails here."""
+    stubs, commands = _LIMIT_CASES[name]
+    for owner, attr in stubs:
+        monkeypatch.setattr(owner, attr, _stubbed)
+    limit = LIMITS[name].value
+    for command in commands:
+        with pytest.raises(_Stubbed):
+            main(list(command(limit, tmp_path)))
+        capsys.readouterr()
+        code, out, err = run(capsys, *command(limit + 1, tmp_path))
+        assert (code, out) == (2, "") and f" is above the limit {limit}" in err, command

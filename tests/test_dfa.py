@@ -12,14 +12,12 @@ from equlat.dfa import (
     binary,
     dfa_from_text,
     dfa_to_text,
-    equivalent,
-    is_empty,
     minimize,
     pair_format_dfa,
     pair_word,
     product,
-    reachable_states,
 )
+from dfa_oracle import equivalent, is_empty, reachable_states
 
 
 @given(st.integers(0, 10**9))

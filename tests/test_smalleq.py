@@ -33,7 +33,7 @@ def test_top_form():
 def test_singular_constructor():
     a = SmallEq.singular([0, 2], 4)
     assert a.is_singular()
-    assert a.tail_members_below() == (0, 2)
+    assert [x for x in range(a.threshold) if a.key(x) == a.tail_label] == [0, 2]
     assert a.related(0, 2) and a.related(2, 100) and not a.related(1, 3)
     assert a.class_count == 3  # {0,2}+tail, {1}, {3}
 
