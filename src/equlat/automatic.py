@@ -64,7 +64,7 @@ def _format_product(d: Dfa) -> tuple[bool, Dfa]:
     verdict (no reachable pair accepts in d and rejects in the format
     automaton) and, unminimized, the clean automaton: the same pairs, in BFS
     order from 0, with "and" acceptance, which decides the same relation as d."""
-    delta, pairs = product_table(d, _FORMAT)
+    delta, pairs = product_table((d.delta, d.start), (_FORMAT.delta, _FORMAT.start))
     ours, theirs = [list(map(f.accepting.__contains__, s)) for f, s in zip((d, _FORMAT), zip(*pairs))]
     clean = frozenset(compress(range(len(pairs)), map(operator.and_, ours, theirs)))
     return not any(map(operator.gt, ours, theirs)), Dfa._mk(delta, 0, clean)
@@ -331,9 +331,8 @@ class AutomaticEq:
         labelled by pairs of classes.  Minimal operands give a minimal product:
         a word telling two states of one apart tells their pairs apart."""
         (da, sa, la), (db, sb, lb) = self._classes(), other._classes()
-        index = _Index((sa, sb))
-        delta = [tuple(map(index.__getitem__, zip(da[p], db[q]))) for p, q in index.order]
-        rel = AutomaticEq._from_classifier(delta, [(la[p], lb[q]) for p, q in index.order])
+        delta, pairs = product_table((da, sa), (db, sb))
+        rel = AutomaticEq._from_classifier(delta, [(la[p], lb[q]) for p, q in pairs])
         rel._operands = (*(self._operands or (self,)), *(other._operands or (other,)))
         return rel
 

@@ -9,11 +9,10 @@ and immutable; every function here returns fresh values.
 """
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, compress
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .partition import numeral
+from .partition import field_lines, numeral
 
 ALPHABET = ("0", "1", "B")
 _IDX = {"0": 0, "1": 1, "B": 2}
@@ -108,20 +107,22 @@ def _reach(delta, start: int) -> _Index:
     return index
 
 
-def product_table(a: Dfa, b: Dfa) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]:
-    """Transition table of the reachable pairs of states of a and b, numbered
-    in BFS order from (a.start, b.start), and the list of those pairs."""
-    index = _Index((a.start, b.start))
+def product_table(
+    a: tuple[Sequence[Sequence[int]], int], b: tuple[Sequence[Sequence[int]], int]
+) -> tuple[tuple[tuple[int, ...], ...], list[tuple[int, int]]]:
+    """Transition table of the reachable pairs of states of two ``(delta,
+    start)`` automata of one row width, numbered in BFS order from the pair
+    of starts, and the list of those pairs."""
+    (da, sa), (db, sb) = a, b
+    index = _Index((sa, sb))
     lookup = index.__getitem__
-    delta = tuple(
-        tuple(map(lookup, zip(a.delta[sa], b.delta[sb]))) for sa, sb in index.order
-    )
+    delta = tuple(tuple(map(lookup, zip(da[p], db[q]))) for p, q in index.order)
     return delta, index.order
 
 
 def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool]) -> Dfa:
     """Product automaton accepting op(a-accepts, b-accepts), reachable part only."""
-    delta, pairs = product_table(a, b)
+    delta, pairs = product_table((a.delta, a.start), (b.delta, b.start))
     fa, fb = a.accepting, b.accepting
     accepting = frozenset(i for i, (sa, sb) in enumerate(pairs) if op(sa in fa, sb in fb))
     return Dfa._mk(delta, 0, accepting)
@@ -185,27 +186,16 @@ class Nfa:
         return frozenset(out)
 
     def determinize(self) -> Dfa:
-        start = self._closure(self.starts)
-        index = {start: 0}
-        queue = deque([start])
-        delta = []
-        accepting = set()
-        while queue:
-            cur = queue.popleft()
-            row = []
-            for ch in ALPHABET:
-                nxt = set()
-                for s in cur:
-                    nxt |= self.transitions.get((s, ch), set())
-                nxt = self._closure(nxt)
-                if nxt not in index:
-                    index[nxt] = len(index)
-                    queue.append(nxt)
-                row.append(index[nxt])
-            delta.append(row)
-            if cur & self.accepting:
-                accepting.add(index[cur])
-        return Dfa(delta, 0, accepting)
+        """The subset construction over the reachable subsets, numbered in
+        BFS order from the closure of the starts."""
+        get = self.transitions.get
+        index = _Index(self._closure(self.starts))
+        delta = [
+            [index[self._closure(chain.from_iterable(get((s, ch), ()) for s in cur))]
+             for ch in ALPHABET]
+            for cur in index.order  # BFS: the list grows as it is read
+        ]
+        return Dfa(delta, 0, [i for i, cur in enumerate(index.order) if cur & self.accepting])
 
 
 def pair_format_dfa() -> Dfa:
@@ -295,14 +285,8 @@ def _read_lines(text: str) -> Dfa:
     states = start = None
     accepting: list[int] = []
     rules: dict[int, int] = {}  # 3 * state + symbol index -> target
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        kind, colon, rest = line.partition(":")
+    for lineno, line, kind, rest in field_lines(text):
         try:
-            if not colon:
-                raise ValueError
             if kind == "trans":
                 src, sym, dst = rest.split()
                 if sym not in _IDX:

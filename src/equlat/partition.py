@@ -233,7 +233,21 @@ class Partition:
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
-        return cls.from_classes(_parse_class_lines(text.splitlines(), 0))
+        blocks = []
+        for lineno, _, kind, rest in field_lines(text):
+            if kind != "class":
+                raise ValueError(f"line {lineno}: expected 'class: <elements>'")
+            # A negative numeral passes here and is refused by element.
+            try:
+                block = list(map(numeral, rest.split()))
+            except ValueError:
+                raise ValueError(f"line {lineno}: elements must be decimal naturals") from None
+            if not block:
+                raise ValueError(f"line {lineno}: empty class")
+            blocks.append(block)
+        if not blocks:
+            raise ValueError("no class lines found")
+        return cls.from_classes(blocks)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Partition) and self.labels == other.labels
@@ -453,48 +467,6 @@ class SmallEq:
         head = f"threshold: {self.threshold}\ntail: {self.tail_label}\n"
         return head + (Partition._mk(self.labels).to_text() if self.threshold else "")
 
-    @classmethod
-    def from_text(cls, text: str) -> "SmallEq":
-        lines = text.splitlines()
-        threshold = tail = None
-        body_start = 0
-        for i, raw in enumerate(lines):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("threshold:") and threshold is None:
-                threshold = numeral(line.split(":", 1)[1].strip())
-            elif line.startswith("tail:") and tail is None:
-                tail = numeral(line.split(":", 1)[1].strip())
-            else:
-                body_start = i
-                break
-        else:
-            body_start = len(lines)
-        if threshold is None or tail is None:
-            raise ValueError("missing 'threshold:' or 'tail:' header")
-        body = lines[body_start:]
-        if threshold == 0:
-            if any(line.strip() for line in body):
-                raise ValueError("threshold 0 admits no class lines")
-            return cls(0, (), tail)
-        blocks = _parse_class_lines(body, body_start)
-        # A dict of the elements seen, so memory follows the text, not the
-        # threshold header: distinct elements in range cover the threshold
-        # iff there are threshold of them.
-        seen: dict[int, int] = {}
-        for block in blocks:
-            block = sorted(block)
-            for x in block:
-                if not 0 <= x < threshold or x in seen:
-                    raise InvalidPartition(f"element {x} misplaced below threshold")
-                seen[x] = block[0]
-        if len(seen) != threshold:
-            raise InvalidPartition("classes do not cover {0..threshold-1}")
-        if tail != threshold and not (0 <= tail < threshold and seen[tail] == tail):
-            raise ValueError(f"tail label {tail} does not name a class")
-        return cls(threshold, map(seen.__getitem__, range(threshold)), tail)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SmallEq)
@@ -521,23 +493,12 @@ def numeral(text: str) -> int:
     return int(text)
 
 
-def _parse_class_lines(lines: Sequence[str], offset: int) -> list[list[int]]:
-    blocks = []
-    for i, raw in enumerate(lines):
+def field_lines(text: str) -> Iterator[tuple[int, str, str | None, str]]:
+    """The line syntax of every text format: each non-blank line, stripped,
+    as (line number from 1, line, field before the first colon or None if
+    the line has no colon, the rest after that colon)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        lineno = offset + i + 1
-        if not line.startswith("class:"):
-            raise ValueError(f"line {lineno}: expected 'class: <elements>'")
-        # A negative numeral passes here and is refused by element.
-        try:
-            block = list(map(numeral, line[len("class:"):].split()))
-        except ValueError:
-            raise ValueError(f"line {lineno}: elements must be decimal naturals") from None
-        if not block:
-            raise ValueError(f"line {lineno}: empty class")
-        blocks.append(block)
-    if not blocks:
-        raise ValueError("no class lines found")
-    return blocks
+        if line:
+            field, colon, rest = line.partition(":")
+            yield lineno, line, field if colon else None, rest

@@ -49,7 +49,7 @@ from typing import Callable, Mapping, Sequence
 from importlib import resources
 
 from .decider import DeciderEq, RelatedWitness, bounded_join, singular_from_predicate, verify_chain
-from .partition import Partition
+from .partition import Partition, field_lines
 
 ENDMARKER = ">"
 MOVES = ("L", "R", "S")
@@ -607,20 +607,19 @@ def tm_from_text(text: str, name: str = "") -> TmSpec:
     start = blank = None
     halting: frozenset[str] = frozenset()
     rules: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line, kind, rest in field_lines(text):
+        if line.startswith("#"):
             continue
-        if line.startswith("states:"):
-            states = tuple(line.split(":", 1)[1].split())
-        elif line.startswith("start:"):
-            start = line.split(":", 1)[1].strip()
-        elif line.startswith("halt:"):
-            halting = frozenset(line.split(":", 1)[1].split())
-        elif line.startswith("blank:"):
-            blank = line.split(":", 1)[1].strip()
-        elif line.startswith("rule:"):
-            parts = line[len("rule:"):].split()
+        if kind == "states":
+            states = tuple(rest.split())
+        elif kind == "start":
+            start = rest.strip()
+        elif kind == "halt":
+            halting = frozenset(rest.split())
+        elif kind == "blank":
+            blank = rest.strip()
+        elif kind == "rule":
+            parts = rest.split()
             if len(parts) != 6 or parts[2] != "->":
                 raise MachineError(f"line {lineno}: expected 'rule: q a -> q2 b M'")
             q, a, _, q2, b, mv = parts

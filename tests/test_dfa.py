@@ -124,6 +124,49 @@ def test_nfa_determinize():
     assert not d.accepts("00")
 
 
+def _old_determinize(nfa):
+    """The subset construction with its own queue and numbering, kept as the
+    oracle for Nfa.determinize."""
+    start = nfa._closure(nfa.starts)
+    index = {start: 0}
+    queue = deque([start])
+    delta = []
+    accepting = set()
+    while queue:
+        cur = queue.popleft()
+        row = []
+        for ch in "01B":
+            nxt = set()
+            for s in cur:
+                nxt |= nfa.transitions.get((s, ch), set())
+            nxt = nfa._closure(nxt)
+            if nxt not in index:
+                index[nxt] = len(index)
+                queue.append(nxt)
+            row.append(index[nxt])
+        delta.append(row)
+        if cur & nfa.accepting:
+            accepting.add(index[cur])
+    return Dfa(delta, 0, accepting)
+
+
+def test_nfa_determinize_matches_old_loop():
+    rng = random.Random(20261021)
+    sizes = []
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        nfa = Nfa()
+        nfa.starts.update(rng.sample(range(n), rng.randint(0, min(n, 2))))
+        nfa.accepting.update(s for s in range(n) if rng.random() < 0.3)
+        for _ in range(rng.randrange(4 * n)):
+            # None is an epsilon move, one in four
+            nfa.add(rng.randrange(n), rng.choice(("0", "1", "B", None)), rng.randrange(n))
+        new, old = nfa.determinize(), _old_determinize(nfa)
+        assert (new.delta, new.start, new.accepting) == (old.delta, old.start, old.accepting)
+        sizes.append(new.state_count)
+    assert max(sizes) > 7  # more subsets than NFA states
+
+
 def test_dfa_validation():
     cases = [
         ([], 0, set(), "need at least one state"),

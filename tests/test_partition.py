@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import tracemalloc
 from collections import deque
 from dataclasses import FrozenInstanceError
@@ -14,12 +15,13 @@ from equlat.partition import (
     InvalidUniverse,
     NotSingular,
     Partition,
-    SmallEq,
     UniverseMismatch,
     all_partitions,
     random_partition,
     singular_complement_valid,
 )
+from equlat.dfa import dfa_from_text
+from equlat.tm import tm_from_text
 
 
 def _partition_of(n):
@@ -329,14 +331,27 @@ class TestTextFormat:
     @pytest.mark.parametrize("one", ["+1", "0_1", "\u0661"])
     def test_elements_are_ascii_numerals(self, one):
         # int() reads each of these as 1.
-        for parse, text, lineno in (
-            (Partition.from_text, f"class: 0 {one}\n", 1),
-            (SmallEq.from_text, f"threshold: 2\ntail: 0\nclass: 0 {one}\n", 3),
-        ):
-            assert parse(text.replace(one, "1")) == parse(text.replace(one, "01"))
-            message = f"^line {lineno}: elements must be decimal naturals$"
-            with pytest.raises(ValueError, match=message):
-                parse(text)
+        text = f"class: 0 {one}\n"
+        parse = Partition.from_text
+        assert parse(text.replace(one, "1")) == parse(text.replace(one, "01"))
+        with pytest.raises(ValueError, match="^line 1: elements must be decimal naturals$"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "parse, head, bad, message",
+        [
+            (Partition.from_text, "class: 0 1", "clss: 2", "expected 'class: <elements>'"),
+            (dfa_from_text, "states: 1", "trans: 0 0", "cannot parse 'trans: 0 0'"),
+            (tm_from_text, "states: s", "rule: s _ -> s", "expected 'rule: q a -> q2 b M'"),
+        ],
+        ids=["partition", "dfa", "machine"],
+    )
+    def test_bad_line_after_blank_and_indented_lines_is_numbered(self, parse, head, bad, message):
+        # All three formats read lines through field_lines: line 1 is empty,
+        # line 2 indented, line 3 blank, and the bad line 4 indented too.
+        text = f"\n  {head}\t\n \t\n\t{bad}  \n"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line 4: {message}')}$"):
+            parse(text)
 
     def test_overlong_numeral_is_a_line_error(self):
         with pytest.raises(ValueError, match="^line 2: elements must be decimal naturals$"):

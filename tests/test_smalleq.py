@@ -1,11 +1,9 @@
 import random
-import re
-import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from equlat.partition import InvalidPartition, Partition, SmallEq, _parse_class_lines
+from equlat.partition import InvalidPartition, Partition, SmallEq
 
 
 @st.composite
@@ -83,163 +81,11 @@ def test_tails_always_intersect():
         assert m.related(top, top + 5)  # the merged tail is nonempty
 
 
-@given(small_eqs())
-def test_text_round_trip(a):
-    assert SmallEq.from_text(a.to_text()) == a
-
-
 def test_text_format_shape():
     a = SmallEq.singular([0, 2], 4)
     text = a.to_text()
     assert text.splitlines()[0] == "threshold: 4"
     assert text.splitlines()[1] == "tail: 0"
-
-
-def test_text_missing_header():
-    with pytest.raises(ValueError, match="threshold"):
-        SmallEq.from_text("class: 0\n")
-
-
-def test_text_bad_tail_label():
-    with pytest.raises(ValueError, match="tail"):
-        SmallEq.from_text("threshold: 2\ntail: 1\nclass: 0 1\n")
-
-
-def _old_from_text(text):
-    """The parser that allocated a label per element below the threshold
-    before checking coverage, kept as the oracle for texts of naturals."""
-    lines = text.splitlines()
-    threshold = tail = None
-    body_start = 0
-    for i, raw in enumerate(lines):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("threshold:") and threshold is None:
-            threshold = int(line.split(":", 1)[1])
-        elif line.startswith("tail:") and tail is None:
-            tail = int(line.split(":", 1)[1])
-        else:
-            body_start = i
-            break
-    else:
-        body_start = len(lines)
-    if threshold is None or tail is None:
-        raise ValueError("missing 'threshold:' or 'tail:' header")
-    body = lines[body_start:]
-    if threshold == 0:
-        if any(line.strip() for line in body):
-            raise ValueError("threshold 0 admits no class lines")
-        return SmallEq(0, (), tail)
-    blocks = _parse_class_lines(body, body_start)
-    labels = [-1] * threshold
-    for block in blocks:
-        block = sorted(block)
-        for x in block:
-            if x >= threshold or labels[x] != -1:
-                raise InvalidPartition(f"element {x} misplaced below threshold")
-            labels[x] = block[0]
-    if any(l == -1 for l in labels):
-        raise InvalidPartition("classes do not cover {0..threshold-1}")
-    if tail != threshold and (tail >= threshold or labels[tail] != tail):
-        raise ValueError(f"tail label {tail} does not name a class")
-    return SmallEq(threshold, labels, tail)
-
-
-def _outcome(parse, text):
-    try:
-        return "ok", parse(text)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def _malformed_texts(rng, count):
-    """Texts of naturals near the SmallEq format: valid ones and ones with a
-    dropped, repeated or out-of-range element, a bad tail, a junk or empty
-    line, a missing header or a negative threshold."""
-    for _ in range(count):
-        threshold = rng.randrange(0, 9)
-        classes: list[list[int]] = []
-        for x in range(threshold):
-            pick = rng.randrange(len(classes) + 1)
-            if pick == len(classes):
-                classes.append([x])
-            else:
-                classes[pick].append(x)
-        tail = rng.randrange(0, threshold + 3)
-        if classes and rng.random() < 0.6:
-            tail = rng.choice(classes)[0]
-        fault = rng.randrange(8)
-        if fault == 1 and threshold:
-            rng.choice(classes).append(rng.randrange(threshold))
-        elif fault == 2:
-            classes.append([threshold + rng.randrange(3)])
-        elif fault == 3 and classes:
-            block = rng.choice(classes)
-            block.remove(rng.choice(block))
-        elif fault == 4:
-            threshold = -rng.randrange(1, 4)
-        for block in classes:
-            rng.shuffle(block)
-        rng.shuffle(classes)
-        lines = [f"threshold: {threshold}", f"tail: {tail}"]
-        lines += ["class: " + " ".join(map(str, block)) for block in classes]
-        if fault == 5:
-            lines.insert(rng.randrange(2, len(lines) + 1), rng.choice(["", "clss: 1", "class:"]))
-        elif fault == 6:
-            del lines[rng.randrange(2)]
-        elif fault == 7:
-            lines.append("class: " + str(rng.randrange(threshold + 2)))
-        yield "\n".join(lines) + "\n"
-
-
-def test_text_parser_matches_old_parser():
-    rng = random.Random(41)
-    outcomes = set()
-    for text in _malformed_texts(rng, 3000):
-        new, old = _outcome(SmallEq.from_text, text), _outcome(_old_from_text, text)
-        assert new == old, text
-        outcomes.add(new[1] if new[0] != "ok" else "ok")
-    # Every error message the parser has, and successes, were reached.
-    assert "ok" in outcomes
-    assert {"classes do not cover {0..threshold-1}", "threshold 0 admits no class lines",
-            "missing 'threshold:' or 'tail:' header", "no class lines found"} <= outcomes
-    assert any(o.endswith("misplaced below threshold") for o in outcomes)
-    assert any(o.startswith("tail label") for o in outcomes)
-
-
-def test_text_header_does_not_size_memory():
-    # The header asks for ten million labels; the class lines cover one.
-    text = "threshold: 10000000\ntail: 0\nclass: 0\n"
-    tracemalloc.start()
-    try:
-        with pytest.raises(InvalidPartition, match="do not cover"):
-            SmallEq.from_text(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
-def test_text_negative_elements_and_tails_rejected():
-    # Negative numbers once indexed the label list from its end.
-    with pytest.raises(InvalidPartition, match="element -2 misplaced"):
-        SmallEq.from_text("threshold: 3\ntail: 3\nclass: -2 0\nclass: 1\nclass: 2\n")
-    with pytest.raises(InvalidPartition, match="element -5 misplaced"):
-        SmallEq.from_text("threshold: 2\ntail: 2\nclass: -5\n")
-    with pytest.raises(ValueError, match="tail label -3 does not name a class"):
-        SmallEq.from_text("threshold: 2\ntail: -3\nclass: 0 1\n")
-
-
-@pytest.mark.parametrize(
-    "field, other", [("threshold", "+2"), ("threshold", "\u0662"), ("tail", "0_2")]
-)
-def test_text_headers_are_ascii_numerals(field, other):
-    # int() reads each other numeral as 2.
-    text = "threshold: 2\ntail: 2\nclass: 0\nclass: 1\n"
-    assert SmallEq.from_text(text) == SmallEq(2, (0, 1), 2)
-    with pytest.raises(ValueError, match=re.escape(f"not a decimal numeral: {other!r}")):
-        SmallEq.from_text(text.replace(f"{field}: 2", f"{field}: {other}"))
 
 
 # -- the partition-kernel canonical form and meet against the old loops ---------
