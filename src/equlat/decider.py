@@ -218,8 +218,9 @@ def bounded_join(
 
     Each point is expanded once, its new neighbours visited in ascending
     order.  A keyed relation yields a point's whole key class at once, so two
-    keyed relations cost O(U log U) per search; a black-box relation tests
-    the point against every unvisited candidate, O(U^2) in all.
+    keyed relations cost O(U log U) per search, except that endpoints one
+    link apart cost two key comparisons; a black-box relation tests the point
+    against every unvisited candidate, O(U^2) in all.
     """
     allowed = range(universe) if isinstance(universe, int) else set(universe)
     candidates = allowed if isinstance(allowed, range) else sorted(allowed)  # ascending
@@ -229,6 +230,12 @@ def bounded_join(
         raise ValueError("endpoints must lie in the search universe")
     if m == n:
         return RelatedWitness((m,), ())
+    if d1.key is not None and d2.key is not None and chain_bound >= 1:
+        # The first level is m's two classes: an n in either ends this chain.
+        if d1._fn(m, n):
+            return RelatedWitness((m, n), ("left",))
+        if d2._fn(m, n):
+            return RelatedWitness((m, n), ("right",))
     parent: dict[int, int] = {m: m}
     near = (_neighbours(d1, candidates), _neighbours(d2, candidates))
     level, depth = [m], 0
@@ -278,7 +285,8 @@ def verify_chain(
     universe: int | Iterable[int],
     chain_bound: int,
 ) -> bool:
-    """Re-check a witness link by link against the stated bounds."""
+    """Re-check a witness link by link against the stated bounds; a link's
+    tag names its relation, "left" or "right"."""
     chain = witness.chain
     if len(chain) - 1 > chain_bound:
         return False
@@ -288,7 +296,7 @@ def verify_chain(
     if any(x < 0 or x not in allowed for x in chain):
         return False
     for (a, b), tag in zip(zip(chain, chain[1:]), witness.links):
-        d = d1 if tag == "left" else d2
-        if not d._fn(a, b):
+        d = d1 if tag == "left" else d2 if tag == "right" else None
+        if d is None or not d._fn(a, b):
             return False
     return len(witness.links) == len(chain) - 1

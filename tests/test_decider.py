@@ -397,6 +397,50 @@ class TestKeyedJoinMatchesScan:
         }
 
 
+class TestAdjacentKeyedEndpoints:
+    """Endpoints one link apart under two keyed relations are answered from
+    their own keys, without bucketing the universe."""
+
+    @staticmethod
+    def _counting_pair():
+        calls = [0, 0]
+
+        def counting(i, key):
+            def fn(x):
+                calls[i] += 1
+                return key(x)
+
+            return DeciderEq.from_key(fn)
+
+        # Left classes are x // 10, right classes x % 7.
+        return counting(0, lambda x: x // 10), counting(1, lambda x: x % 7), calls
+
+    @pytest.mark.parametrize("universe", [200, list(range(0, 400, 2)) + [3, 7, 17]])
+    @pytest.mark.parametrize(
+        "m, n, links",
+        [(12, 14, ("left",)), (3, 17, ("right",)), (0, 7, ("left",))],
+        ids=["left class", "right class", "both classes"],
+    )
+    def test_two_key_comparisons(self, universe, m, n, links):
+        d1, d2, calls = self._counting_pair()
+        res = bounded_join(d1, d2, m, n, universe, 3)
+        assert res == RelatedWitness((m, n), links)
+        assert calls[0] <= 2 and calls[1] <= 2, calls
+        assert res == _scan_join(d1, d2, m, n, universe, 3)
+
+    def test_chain_bound_zero_finds_nothing(self):
+        d1, d2, _ = self._counting_pair()
+        for m, n in ((12, 14), (3, 17), (0, 7)):
+            assert bounded_join(d1, d2, m, n, 200, 0) == NotWithinBounds(explored=1)
+
+    def test_farther_endpoints_still_search(self):
+        d1, d2, calls = self._counting_pair()
+        res = bounded_join(d1, d2, 3, 25, 200, 3)
+        assert res == _scan_join(d1, d2, 3, 25, 200, 3)
+        assert len(res.chain) == 3
+        assert min(calls) >= 200
+
+
 def _closure_complement(d: DeciderEq) -> DeciderEq:
     """The least-element complement as the closure that the keyed
     complement replaced, kept as the oracle: a black box that scans every
@@ -538,6 +582,12 @@ class TestVerifyChain:
         d = bottom_decider()
         fake = RelatedWitness((0, 1), ("left",))
         assert not verify_chain(d, d, fake, 4, 4)
+
+    def test_rejects_unknown_link_labels(self):
+        # The link holds under the right relation; only its tag is wrong.
+        d1, d2 = parity_decider(), top_decider()
+        assert not verify_chain(d1, d2, RelatedWitness((0, 3), ("bogus",)), 10, 5)
+        assert verify_chain(d1, d2, RelatedWitness((0, 3), ("right",)), 10, 5)
 
     def test_rejects_negative_elements(self):
         # Keys are defined on the naturals only; -1 is singular's class sentinel.
