@@ -219,7 +219,9 @@ def _build_expr(node: ast.expr, source: str) -> dc.DeciderEq:
 Limit = namedtuple("Limit", "options value why")
 LIMITS = {
     "check": Limit("`decider check --bound` (also below 1)", 512,
-                   "tabulates the B×B window: B² tests and memory"),
+                   "one key per value, then B² key comparisons and B² reads of a table that "
+                   "keeps each class once: 0.14–0.22 s and 17 MB RSS at the limit (fresh-process "
+                   "medians for `nonhalt(100)`, `parity`, `approx_even(increment)` and `top`)"),
     "steps": Limit("`tm run --bound`, `N` in a `nonhalt(N)` decider expression, "
                    "`demo nonhalt-meet --k`", 100_000,
                    "a step per unit of bound for each machine run: one in `tm run`, each one "
@@ -236,9 +238,10 @@ LIMITS = {
                    "with 65,000"),
     "complement": Limit("`M` and `N` of `decider decide` on an expression with `complement`",
                         100_000,
-                        "the complement keeps an entry, about 80–100 bytes, for every value up "
-                        "to the larger one; at the limit the slowest keys (`nonhalt`, "
-                        "`approx_even`) take about 0.8 s and 30 MB"),
+                        "the complement keeps a flag per value up to the larger one and an "
+                        "entry per class's least value, about 85 bytes a value when most classes "
+                        "are singletons; at the limit the slowest keys, `nonhalt(100)` and "
+                        "`approx_even(increment)`, take 0.2–0.6 s and 27–32 MB RSS"),
     "meet-growth": Limit("`demo automatic-meet-growth --k`", 1_024,
                          "k meets of ever larger classifiers; time grows about as k² (0.1 s at "
                          "256, 0.3 s at 512, 1.2–1.3 s at 1024, and 1.8 MB at 1024)"),
@@ -250,8 +253,9 @@ LIMITS = {
     "restrict": Limit("`family meet --restrict N`, `decider restrict EXPR N`", 100_000,
                       "materializes N elements: 0.17 s and 29 MB for `family meet` at the limit; "
                       "every decider expression has a key, so `decider restrict` costs one key "
-                      "per element, 0.04–0.84 s and 25–55 MB at the limit (from `parity` to "
-                      "`nonhalt(100)`, in process)"),
+                      "per element: at the limit 0.04–0.53 s in process (from `parity` to "
+                      "`nonhalt(100)`) and 25–56 MB RSS (from `parity` to "
+                      "`approx_even(increment)`)"),
     "file": Limit("bytes in any file the CLI reads: partition, `bitmask:`, DFA and machine files",
                   1 << 20,
                   "checked while reading, before the file is read whole; parsing a DFA file at "
@@ -299,7 +303,9 @@ def cmd_decider(args) -> int:
         _check_limit("check", "check bound", args.bound)
         if args.bound < 1:
             raise ValueError(f"sample bound must be at least 1, got {args.bound}")
-        ok = dc.axiom_counterexamples(rel.decide, args.bound) == (None, None, None)
+        keys = list(map(rel.key, range(args.bound)))  # every expression is keyed
+        found = dc.axiom_counterexamples(lambda m, n: m == n or keys[m] == keys[n], args.bound)
+        ok = found == (None, None, None)
         print(f"[{'PASS' if ok else 'FAIL'}] equivalence axioms on {{0..{args.bound - 1}}}")
         print(f"cost note: {rel.cost_note}")
         return 0 if ok else 1

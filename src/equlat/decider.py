@@ -52,15 +52,10 @@ class DeciderEq:
                     raise NotAnEquivalence(f"not {axiom} at {where}")
 
     @classmethod
-    def from_key(
-        cls,
-        key: Callable[[int], Hashable],
-        cost_note: str = "",
-        universe_hint: int | None = None,
-    ) -> "DeciderEq":
+    def from_key(cls, key: Callable[[int], Hashable], cost_note: str = "") -> "DeciderEq":
         """The kernel of ``key``: m ~ n iff key(m) == key(n).  An equivalence
         by construction, so the sampled registration check is skipped."""
-        d = cls(lambda m, n: m == n or key(m) == key(n), cost_note, universe_hint, check_bound=0)
+        d = cls(lambda m, n: m == n or key(m) == key(n), cost_note, check_bound=0)
         d.key = key
         return d
 
@@ -91,21 +86,24 @@ class DeciderEq:
 def axiom_counterexamples(
     fn: Callable[[int, int], bool], bound: int
 ) -> tuple[int | None, tuple[int, int] | None, tuple[int, int, int] | None]:
-    """Brute force over {0..bound-1} from one relation matrix: the first
-    counterexample to reflexivity (m), symmetry (m, n) and transitivity
-    (m, n, p), each None where that axiom holds on the window."""
-    rel = [[bool(fn(m, n)) for n in range(bound)] for m in range(bound)]
-    refl = next((m for m in range(bound) if not rel[m][m]), None)
+    """Brute force over {0..bound-1} from one table, each value's set of
+    related values with equal sets stored once: the first counterexample to
+    reflexivity (m), symmetry (m, n) and transitivity (m, n, p), each None
+    where that axiom holds on the window.  Related values of an equivalence
+    share one set, so there transitivity costs B² identity tests in all."""
+    window, stored = range(bound), {}
+    sets = (frozenset(n for n in window if fn(m, n)) for m in window)
+    rows = [stored.setdefault(r, r) for r in sets]
+    refl = next((m for m in window if m not in rows[m]), None)
     sym = next(
-        ((m, n) for m in range(bound) for n in range(m) if rel[m][n] != rel[n][m]), None
+        ((m, n) for m in window for n in range(m) if (n in rows[m]) != (m in rows[n])), None
     )
-    rows = [frozenset(n for n in range(bound) if rel[m][n]) for m in range(bound)]
     trans = next(
         (
             (m, n, min(rows[n] - rows[m]))
-            for m in range(bound)
-            for n in range(bound)
-            if rel[m][n] and not rows[n] <= rows[m]
+            for m in window
+            for n in sorted(rows[m])
+            if rows[n] is not rows[m] and not rows[n] <= rows[m]
         ),
         None,
     )
@@ -137,11 +135,7 @@ def from_partition(part: Partition) -> DeciderEq:
     n = part.universe_size
     labels = part.labels
     # Labels lie below n and singleton keys at or above it.
-    return DeciderEq.from_key(
-        lambda x: labels[x] if x < n else x,
-        cost_note=f"table lookup below {n}",
-        universe_hint=n,
-    )
+    return DeciderEq.from_key(lambda x: labels[x] if x < n else x, f"table lookup below {n}")
 
 
 def meet_combinator(d1: DeciderEq, d2: DeciderEq) -> DeciderEq:
@@ -162,10 +156,11 @@ def least_element_complement(d: DeciderEq) -> DeciderEq:
     m ~ n iff m == n or neither has a smaller d-related number (both are
     least in their classes).  For a black-box ``d`` each x scans all smaller
     numbers; for a keyed ``d`` one ascending pass, up to the largest x asked,
-    keeps the least number of each key, so memory follows that x.  Either
-    way the time is exponential in the input length.  The result is keyed
-    for every ``d`` (least elements share one key, the rest are singletons),
-    so ``restrict`` and ``bounded_join`` group by key.
+    reads each number's key once and keeps the least number of each key and a
+    flag per number, so memory follows that x.  Either way the time is
+    exponential in the input length.  The result is keyed for every ``d``
+    (least elements share one key, the rest are singletons), so ``restrict``
+    and ``bounded_join`` group by key.
     """
     cost_note = (
         f"least-element complement of ({d.cost_note}); "
@@ -175,14 +170,14 @@ def least_element_complement(d: DeciderEq) -> DeciderEq:
         return singular_from_predicate(
             lambda x: not any(d._fn(k, x) for k in range(x)), cost_note
         )
-    key, first, scanned = d.key, {}, 0  # first: key -> least number below scanned
+    key, first, is_least = d.key, {}, bytearray()  # first: key -> least number scanned
 
     def least(x: int) -> bool:
-        nonlocal scanned
-        for y in range(scanned, x + 1):
-            first.setdefault(key(y), y)
-        scanned = max(scanned, x + 1)
-        return first[key(x)] == x
+        if x < 0:  # is_least[x] would read from the end
+            raise ValueError("naturals only")
+        for y in range(len(is_least), x + 1):
+            is_least.append(first.setdefault(key(y), y) == y)
+        return is_least[x] == 1
 
     return singular_from_predicate(least, cost_note)
 
@@ -230,7 +225,9 @@ def bounded_join(
         raise ValueError("endpoints must lie in the search universe")
     if m == n:
         return RelatedWitness((m,), ())
-    if d1.key is not None and d2.key is not None and chain_bound >= 1:
+    if chain_bound < 1:
+        return NotWithinBounds(explored=1)
+    if d1.key is not None and d2.key is not None:
         # The first level is m's two classes: an n in either ends this chain.
         if d1._fn(m, n):
             return RelatedWitness((m, n), ("left",))

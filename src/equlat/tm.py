@@ -133,7 +133,7 @@ class TmSpec:
 
     @cached_property
     def _serial(self) -> "_Numerals":
-        """The numeral system of configuration codes (see serial_alphabet)."""
+        """The numeral system of configuration codes."""
         return _Numerals(dict.fromkeys("0123456789:" + "".join(self.alphabet)))
 
     @cached_property
@@ -242,10 +242,6 @@ def halt_step(m: TmSpec, input_str: str, max_steps: int) -> int | None:
 
 
 # -- configuration coding ----------------------------------------------------
-
-def serial_alphabet(m: TmSpec) -> tuple[str, ...]:
-    return m._serial.alphabet
-
 
 class _Numerals:
     """Bijective base-k numerals over k >= 2 symbols: the empty string is 0
@@ -655,7 +651,6 @@ def nonhalt_eq(n: int) -> DeciderEq:
     if n < 1:
         raise ValueError("n must be at least 1")
 
-    @lru_cache(maxsize=None)
     def still_running(x: int) -> bool:
         m = decode_tm(x)
         return m is not None and halt_step(m, "", n) is None

@@ -332,6 +332,28 @@ class TestDeciderCommands:
         code, out, err = run(capsys, "decider", "decide", "meet(parity, singular(even))", big, big)
         assert (code, out, err) == (0, "true\n", "")
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["top", "parity", "nonhalt(100)", "complement(nonhalt(100))",
+         "meet(nonhalt(100), singular(prime))", "approx_even(increment)"],
+    )
+    def test_check_keys_each_window_value_once(self, capsys, monkeypatch, expr):
+        # The expression's key is counted, and so is every machine decoded
+        # beneath it: nonhalt keeps no memo, so each decode is a simulation.
+        asked, decoded = [], []
+        real_parse, real_decode = cli._parse_expr, tmlab.decode_tm
+
+        def parse(text):
+            tree, rel = real_parse(text)
+            return tree, dc.DeciderEq.from_key(lambda x: asked.append(x) or rel.key(x))
+
+        monkeypatch.setattr(cli, "_parse_expr", parse)
+        monkeypatch.setattr(tmlab, "decode_tm", lambda x: decoded.append(x) or real_decode(x))
+        code, out, _ = run(capsys, "decider", "check", expr, "--bound", "128")
+        assert code == 0 and out.startswith("[PASS] equivalence axioms on {0..127}\n")
+        assert asked == list(range(128))
+        assert decoded == (list(range(128)) if "nonhalt" in expr else [])
+
 
 class TestTmCommands:
     def test_zoo_listing(self, capsys):

@@ -23,6 +23,7 @@ from equlat.decider import (
     verify_chain,
 )
 from equlat.partition import Partition, SmallEq, random_partition
+from equlat import tm
 from equlat.tm import zoo
 
 
@@ -69,6 +70,91 @@ class TestRegistration:
         # skip the registration gate to probe the checker itself
         near = DeciderEq(lambda m, n: abs(m - n) <= 1, check_bound=0)
         assert axiom_counterexamples(near.decide, 32) == (None, None, (0, 1, 2))  # 0~1~2 but not 0~2
+
+
+def _two_table_axioms(fn, bound):
+    """axiom_counterexamples as it was with a bound x bound relation matrix
+    beside the per-value sets, kept as the oracle."""
+    rel = [[bool(fn(m, n)) for n in range(bound)] for m in range(bound)]
+    refl = next((m for m in range(bound) if not rel[m][m]), None)
+    sym = next(
+        ((m, n) for m in range(bound) for n in range(m) if rel[m][n] != rel[n][m]), None
+    )
+    rows = [frozenset(n for n in range(bound) if rel[m][n]) for m in range(bound)]
+    trans = next(
+        (
+            (m, n, min(rows[n] - rows[m]))
+            for m in range(bound)
+            for n in range(bound)
+            if rel[m][n] and not rows[n] <= rows[m]
+        ),
+        None,
+    )
+    return refl, sym, trans
+
+
+def _random_relation(kind: str, b: int, rng: random.Random) -> list[list[bool]]:
+    """A b x b relation matrix of the named shape."""
+    if kind in ("dense", "sparse"):
+        p = rng.uniform(0.7, 0.98) if kind == "dense" else rng.uniform(0.0, 0.2)
+        return [[rng.random() < p for _ in range(b)] for _ in range(b)]
+    if kind == "order":
+        # A preorder (reflexive, transitive, rarely symmetric): ranks compared,
+        # or divisibility of shifted values.
+        rank = [rng.randrange(b) for _ in range(b)]
+        if rng.random() < 0.5:
+            return [[rank[m] <= rank[n] for n in range(b)] for m in range(b)]
+        return [[(n + 1) % (m + 1) == 0 for n in range(b)] for m in range(b)]
+    labels = random_partition(b, rng).labels
+    table = [[labels[m] == labels[n] for n in range(b)] for m in range(b)]
+    if kind == "near":
+        # An equivalence with a few entries flipped, some in symmetric pairs.
+        for _ in range(rng.randrange(1, 4)):
+            m, n = rng.randrange(b), rng.randrange(b)
+            table[m][n] = not table[m][n]
+            if rng.random() < 0.6:
+                table[n][m] = table[m][n]
+    return table
+
+
+def _axioms_and_calls(check, fn, bound):
+    calls = []
+    return check(lambda m, n: calls.append((m, n)) or fn(m, n), bound), calls
+
+
+class TestAxiomTableMatchesTwoTables:
+    """The one-table window check gives the old two-table triple and asks
+    fn the same pairs in the same order."""
+
+    def test_seeded_random_relations(self):
+        rng = random.Random(30)
+        kinds = ("dense", "sparse", "near", "order", "equivalence")
+        failing = set()
+        for i in range(2500):
+            kind, b = kinds[i % len(kinds)], rng.randrange(1, 25)
+            table = _random_relation(kind, b, rng)
+            fn = lambda m, n: table[m][n]  # noqa: E731
+            got = _axioms_and_calls(axiom_counterexamples, fn, b)
+            assert got == _axioms_and_calls(_two_table_axioms, fn, b), (kind, b, table)
+            failing |= {(kind, axiom) for axiom, where in enumerate(got[0]) if where is not None}
+        # Each axiom fails somewhere, and every kind but the equivalences fails one.
+        assert {axiom for _, axiom in failing} == {0, 1, 2}
+        assert {kind for kind, _ in failing} == set(kinds) - {"equivalence"}
+
+    def test_truthy_answers(self):
+        # fn may answer with any truthy or falsy value, as decide's callers do.
+        for fn in (lambda m, n: (m - n) % 3, lambda m, n: [] if m % 2 else [m], lambda m, n: 1):
+            for b in (1, 5, 12):
+                want = _axioms_and_calls(_two_table_axioms, fn, b)
+                assert _axioms_and_calls(axiom_counterexamples, fn, b) == want
+
+    def test_grammar_expressions_at_64(self):
+        inputs = _complement_inputs()
+        inputs.update({f"complement({k})": least_element_complement(d) for k, d in inputs.items()})
+        for name, d in inputs.items():
+            got = _axioms_and_calls(axiom_counterexamples, d.decide, 64)
+            assert got == _axioms_and_calls(_two_table_axioms, d.decide, 64), name
+            assert got[0] == (None, None, None), name
 
 
 class TestBuiltins:
@@ -429,9 +515,12 @@ class TestAdjacentKeyedEndpoints:
         assert res == _scan_join(d1, d2, m, n, universe, 3)
 
     def test_chain_bound_zero_finds_nothing(self):
-        d1, d2, _ = self._counting_pair()
-        for m, n in ((12, 14), (3, 17), (0, 7)):
-            assert bounded_join(d1, d2, m, n, 200, 0) == NotWithinBounds(explored=1)
+        # No key is computed: the answer comes before any bucket is built.
+        for universe in (200, list(range(0, 400, 2)) + [3, 7, 17]):
+            d1, d2, calls = self._counting_pair()
+            for m, n in ((12, 14), (3, 17), (0, 7)):
+                assert bounded_join(d1, d2, m, n, universe, 0) == NotWithinBounds(explored=1)
+            assert calls == [0, 0]
 
     def test_farther_endpoints_still_search(self):
         d1, d2, calls = self._counting_pair()
@@ -575,6 +664,41 @@ class TestKeyedComplementMatchesScan:
                 assert answer == scan.decide(m, n), (name, m, n)
                 outcomes.add(answer and m != n)
         assert outcomes == {False, True}
+
+
+class TestComplementReadsEachKeyOnce:
+    """The keyed pass computes the key of every value it scans once, and an
+    asked value below the pass is answered without its key."""
+
+    @staticmethod
+    def _counted(key):
+        asked = []
+        return DeciderEq.from_key(lambda x: asked.append(x) or key(x)), asked
+
+    def test_scattered_decide_pairs(self):
+        rng = random.Random(34)
+        for key in (lambda x: x % 3, lambda x: x, lambda x: 0, lambda x: x.bit_length()):
+            d, asked = self._counted(key)
+            c, reached = least_element_complement(d), 0
+            scan = _scanning_complement(DeciderEq.from_key(key))
+            for _ in range(40):
+                m, n = rng.randrange(500), rng.randrange(500)
+                assert c.decide(m, n) == scan.decide(m, n)
+                if m != n:  # equal values are related before either is keyed
+                    reached = max(reached, m + 1, n + 1)
+                assert asked == list(range(reached))
+            with pytest.raises(ValueError, match="naturals only"):
+                c.key(-1)  # not the flag of the last value scanned
+
+    def test_restrict_of_nonhalt(self, monkeypatch):
+        # Each value is decoded, and so simulated, once: nonhalt keeps no memo.
+        decoded = []
+        real = tm.decode_tm
+        monkeypatch.setattr(tm, "decode_tm", lambda x: decoded.append(x) or real(x))
+        c = parse_decider_expr("complement(nonhalt(20))")
+        c.restrict(300)
+        assert decoded == list(range(300))
+        assert c.decide(299, 12) == c.decide(12, 299) and decoded == list(range(300))
 
 
 class TestVerifyChain:

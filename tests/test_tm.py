@@ -29,7 +29,6 @@ from equlat.tm import (
     nonhalt_eq,
     nonhalt_family_meet,
     pack_point,
-    serial_alphabet,
     serialize_config,
     simulate,
     step,
@@ -112,7 +111,7 @@ def _old_simulate(m, input_str, max_steps):
 
 
 def _alphabets():
-    return sorted({serial_alphabet(m) for m in zoo().values()}) + [tuple(TM_TEXT_ALPHABET)]
+    return sorted({m._serial.alphabet for m in zoo().values()}) + [tuple(TM_TEXT_ALPHABET)]
 
 
 class TestZoo:
@@ -288,7 +287,7 @@ class TestConfigCoding:
         # '01:1:>_' style strings must not decode: leading zeros would break
         # the bijection between configurations and codes
         m = zoo()["halt"]
-        bad = _loop_string_to_nat("00:1:>_", serial_alphabet(m))
+        bad = _loop_string_to_nat("00:1:>_", m._serial.alphabet)
         assert decode_config(m, bad) is None
 
 
@@ -327,7 +326,7 @@ class TestNumerals:
     def test_configuration_codes_unchanged_along_long_runs(self):
         for name in ("builder", "shuttle", "sweeper"):
             m = zoo()[name]
-            alphabet = serial_alphabet(m)
+            alphabet = m._serial.alphabet
             for c in trajectory(m, "", 1000)[::37]:
                 code = encode_config(m, c)
                 assert code == _loop_string_to_nat(serialize_config(m, c), alphabet)
@@ -342,7 +341,7 @@ class TestNumerals:
     def test_alphabets_cached_per_machine(self):
         m = zoo()["builder"]
         assert m.alphabet is m.alphabet
-        assert serial_alphabet(m) is serial_alphabet(m)
+        assert m._serial.alphabet is m._serial.alphabet
         assert m._table is m._table
 
     def test_needs_two_symbols(self):
